@@ -12,13 +12,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vm_core::{simulate, SimConfig, SimReport};
 use vm_harden::{quiet_panics, FailureKind, SimError};
 use vm_trace::{InstrRecord, WorkloadSpec};
 
-use vm_obs::Reporter;
+use vm_obs::{Reporter, HEARTBEAT_PERIOD};
 
 /// Locks tolerating poisoning: a panicking sibling worker must not
 /// cascade into every later lock site.
@@ -215,11 +215,25 @@ pub fn run_jobs_checked(
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let consumed = AtomicU64::new(0);
-    let finished = AtomicBool::new(false);
     let failed = AtomicBool::new(false);
     let started = Instant::now();
     let results: Vec<Mutex<Option<Result<Outcome, SimError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
+    // Silent for short sweeps (first beat after ~2s), periodic progress
+    // for long ones.
+    let beat = || {
+        let instrs = consumed.load(Ordering::Relaxed);
+        let elapsed = started.elapsed().as_secs_f64();
+        let pct = if planned == 0 { 100.0 } else { 100.0 * instrs as f64 / planned as f64 };
+        reporter.heartbeat(format!(
+            "  [{label}] {}/{} jobs, {} instrs ({:.0}% of trace) at {}/s",
+            done.load(Ordering::Relaxed),
+            jobs.len(),
+            fmt_instrs(instrs),
+            pct.min(100.0),
+            fmt_instrs((instrs as f64 / elapsed.max(1e-9)) as u64),
+        ));
+    };
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -250,43 +264,14 @@ pub fn run_jobs_checked(
                 }
             }));
         }
-        // Heartbeat: silent for short sweeps (first beat after ~2s),
-        // periodic progress for long ones.
-        scope.spawn(|| {
-            let mut waited = Duration::ZERO;
-            let step = Duration::from_millis(100);
-            loop {
-                std::thread::sleep(step);
-                if finished.load(Ordering::Relaxed) {
-                    break;
-                }
-                waited += step;
-                if waited < Duration::from_secs(2) {
-                    continue;
-                }
-                waited = Duration::ZERO;
-                let instrs = consumed.load(Ordering::Relaxed);
-                let elapsed = started.elapsed().as_secs_f64();
-                let pct = if planned == 0 { 100.0 } else { 100.0 * instrs as f64 / planned as f64 };
-                reporter.heartbeat(format!(
-                    "  [{label}] {}/{} jobs, {} instrs ({:.0}% of trace) at {}/s",
-                    done.load(Ordering::Relaxed),
-                    jobs.len(),
-                    fmt_instrs(instrs),
-                    pct.min(100.0),
-                    fmt_instrs((instrs as f64 / elapsed.max(1e-9)) as u64),
-                ));
-            }
+        let worker_panic = reporter.with_heartbeat(HEARTBEAT_PERIOD, beat, || {
+            workers.into_iter().find_map(|w| w.join().err())
         });
-        for w in workers {
-            // Workers catch job panics internally; a join error would be
-            // an infrastructure bug, which the facade's panic surfaces.
-            if let Err(payload) = w.join() {
-                finished.store(true, Ordering::Relaxed);
-                std::panic::resume_unwind(payload);
-            }
+        // Workers catch job panics internally; a join error would be an
+        // infrastructure bug, which the facade's panic surfaces.
+        if let Some(payload) = worker_panic {
+            std::panic::resume_unwind(payload);
         }
-        finished.store(true, Ordering::Relaxed);
     });
     let mut outcomes = Vec::with_capacity(jobs.len());
     for slot in results {

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vm_core::cost::CostModel;
 use vm_core::{simulate, simulate_with_sink, SimConfig, SimReport};
@@ -42,7 +42,7 @@ use vm_harden::{
     quiet_panics, with_retry_salted, ChaosPlan, CheckedTrace, DeadlineSink, DynJournalWriter,
     FailureKind, Fault, JournalEntry, PointOutcome, RetryPolicy, SimError,
 };
-use vm_obs::{Event, Reporter, Sink, SnapshotSink, Tee};
+use vm_obs::{Event, Reporter, Sink, SnapshotSink, Tee, HEARTBEAT_PERIOD};
 use vm_supervise::WorkerPool;
 use vm_types::SplitMix64;
 
@@ -409,8 +409,20 @@ fn run_pending(
         .collect();
     let done = AtomicUsize::new(0);
     let consumed = AtomicU64::new(0);
-    let finished = AtomicBool::new(false);
     let started = Instant::now();
+    // Silent for short sweeps, periodic progress for long ones, same
+    // cadence as the experiment runner.
+    let beat = || {
+        let instrs = consumed.load(Ordering::Relaxed);
+        let elapsed = started.elapsed().as_secs_f64();
+        reporter.heartbeat(format!(
+            "  [explore] {}/{} points ({:.0}% of planned instrs) at {:.1}M instrs/s",
+            done.load(Ordering::Relaxed),
+            pending.len(),
+            100.0 * instrs as f64 / planned_instrs.max(1) as f64,
+            instrs as f64 / elapsed.max(1e-9) / 1e6,
+        ));
+    };
 
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(jobs);
@@ -485,34 +497,9 @@ fn run_pending(
                 }
             }));
         }
-        // Heartbeat: silent for short sweeps, periodic progress for long
-        // ones, same cadence as the experiment runner.
-        scope.spawn(|| {
-            let step = Duration::from_millis(100);
-            let mut waited = Duration::ZERO;
-            loop {
-                std::thread::sleep(step);
-                if finished.load(Ordering::Relaxed) {
-                    break;
-                }
-                waited += step;
-                if waited < Duration::from_secs(2) {
-                    continue;
-                }
-                waited = Duration::ZERO;
-                let instrs = consumed.load(Ordering::Relaxed);
-                let elapsed = started.elapsed().as_secs_f64();
-                reporter.heartbeat(format!(
-                    "  [explore] {}/{} points ({:.0}% of planned instrs) at {:.1}M instrs/s",
-                    done.load(Ordering::Relaxed),
-                    pending.len(),
-                    100.0 * instrs as f64 / planned_instrs.max(1) as f64,
-                    instrs as f64 / elapsed.max(1e-9) / 1e6,
-                ));
-            }
+        let worker_panic = reporter.with_heartbeat(HEARTBEAT_PERIOD, beat, || {
+            workers.into_iter().find_map(|h| h.join().err())
         });
-        let worker_panic = workers.into_iter().find_map(|h| h.join().err());
-        finished.store(true, Ordering::Relaxed);
         if let Some(payload) = worker_panic {
             // Only infrastructure bugs reach here — point panics are
             // caught and classified inside measure_point_isolated.

@@ -56,7 +56,7 @@ pub mod stats;
 
 pub use event::{CacheId, Event, EvictReason};
 pub use export::{summary_line, ChromeTraceSink, JsonlSink};
-pub use reporter::{set_global_verbosity, Reporter, Verbosity};
+pub use reporter::{set_global_verbosity, Reporter, Verbosity, HEARTBEAT_PERIOD};
 pub use sink::{NopSink, RecordingSink, SharedSink, Sink, Tee};
 pub use snapshot::{SnapshotCheckpoint, SnapshotSink};
 pub use stats::{HistSummary, LogHist, ObsCounters, ObsSnapshot, StatsSink};

@@ -16,7 +16,13 @@
 use std::fmt::Display;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
+use std::time::Duration;
+
+/// The cadence of long-work heartbeats: silent for work shorter than
+/// this, one progress line per period after that.
+pub const HEARTBEAT_PERIOD: Duration = Duration::from_secs(2);
 
 /// Process-wide verbosity, consulted by [`Reporter::global`]. Defaults to
 /// [`Verbosity::Quiet`] so library callers (and tests) stay silent unless
@@ -136,6 +142,36 @@ impl Reporter {
             stderr_line(msg);
         }
     }
+
+    /// Runs `work` on the calling thread and returns its value the
+    /// moment it returns. Meanwhile, when heartbeats print at all
+    /// (Normal and above), a helper thread calls `beat` once per
+    /// `period`.
+    ///
+    /// The helper sleeps on a channel that `work`'s completion (or
+    /// unwind) disconnects, so finishing never waits out the rest of a
+    /// period, and no beat runs after this method returns.
+    pub fn with_heartbeat<T>(
+        &self,
+        period: Duration,
+        mut beat: impl FnMut() + Send,
+        work: impl FnOnce() -> T,
+    ) -> T {
+        if self.verbosity < Verbosity::Normal {
+            return work();
+        }
+        let (done, finished) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(period) {
+                    beat();
+                }
+            });
+            // Dropped when `work` returns or unwinds, waking the helper.
+            let _done = done;
+            work()
+        })
+    }
 }
 
 #[cfg(test)]
@@ -161,6 +197,60 @@ mod tests {
     #[test]
     fn silent_reporter_is_quiet() {
         assert_eq!(Reporter::silent().verbosity(), Verbosity::Quiet);
+    }
+
+    #[test]
+    fn finishing_returns_without_waiting_out_the_period() {
+        let t0 = std::time::Instant::now();
+        let mut beats = 0;
+        let v = Reporter::new(Verbosity::Normal).with_heartbeat(
+            Duration::from_secs(60),
+            || beats += 1,
+            || 7,
+        );
+        assert_eq!(v, 7);
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        assert_eq!(beats, 0);
+    }
+
+    #[test]
+    fn beats_fire_during_the_work_and_never_after_it() {
+        let beats = Mutex::new(Vec::new());
+        Reporter::new(Verbosity::Normal).with_heartbeat(
+            Duration::from_millis(20),
+            || beats.lock().unwrap().push(std::time::Instant::now()),
+            || std::thread::sleep(Duration::from_millis(100)),
+        );
+        let returned = std::time::Instant::now();
+        let fired = beats.lock().unwrap().len();
+        assert!(fired >= 1, "no beat during 100 ms of work at a 20 ms period");
+        assert!(beats.lock().unwrap().iter().all(|&t| t <= returned));
+        std::thread::sleep(Duration::from_millis(60));
+        assert_eq!(beats.lock().unwrap().len(), fired, "a beat fired after the work finished");
+    }
+
+    #[test]
+    fn a_quiet_reporter_never_beats() {
+        let mut beats = 0;
+        Reporter::silent().with_heartbeat(
+            Duration::from_millis(1),
+            || beats += 1,
+            || std::thread::sleep(Duration::from_millis(20)),
+        );
+        assert_eq!(beats, 0);
+    }
+
+    #[test]
+    fn a_panicking_work_unwinds_through_the_helper() {
+        let caught = std::panic::catch_unwind(|| {
+            Reporter::new(Verbosity::Normal).with_heartbeat(
+                Duration::from_secs(60),
+                || {},
+                || panic!("boom"),
+            );
+        });
+        let payload = caught.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

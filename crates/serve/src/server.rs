@@ -106,6 +106,18 @@ pub struct ServeConfig {
     pub ingest: IngestSettings,
 }
 
+impl ServeConfig {
+    /// How many finished jobs stay queryable: the newest
+    /// `max(64, queue_cap + workers)`, so a client that filled the queue
+    /// and every worker can still collect all of its results.
+    pub fn retained_jobs(&self) -> usize {
+        MIN_RETAINED_JOBS.max(self.queue_cap + self.workers.max(1))
+    }
+}
+
+/// The floor of [`ServeConfig::retained_jobs`].
+const MIN_RETAINED_JOBS: usize = 64;
+
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
@@ -203,7 +215,38 @@ struct Job {
 struct State {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, Job>,
+    /// Terminal jobs still in `jobs`, in the order they finished: the
+    /// eviction order. Finish order, not id order, so a long job that
+    /// finishes after many newer ones is not evicted on arrival.
+    finished: VecDeque<u64>,
     next_id: u64,
+}
+
+impl State {
+    /// Files `id` as terminal and evicts the oldest terminal jobs past
+    /// `retain`. Queued and running jobs are never evicted.
+    fn retire(&mut self, id: u64, retain: usize) {
+        self.finished.push_back(id);
+        let excess = self.finished.len().saturating_sub(retain);
+        for oldest in self.finished.drain(..excess) {
+            self.jobs.remove(&oldest);
+        }
+    }
+
+    /// The job under `id`, or the `404` saying why there is none.
+    fn job(&self, id: u64) -> Result<&Job, ProtoError> {
+        self.jobs.get(&id).ok_or_else(|| missing(id, self.next_id))
+    }
+}
+
+/// The `404` for an id with no table entry: ids below `next_id` were
+/// admitted and have since been evicted from the finished-job table.
+fn missing(id: u64, next_id: u64) -> ProtoError {
+    if (1..next_id).contains(&id) {
+        ProtoError::new(404, format!("job {id} expired"))
+    } else {
+        ProtoError::new(404, format!("no job {id}"))
+    }
 }
 
 struct Shared {
@@ -318,7 +361,12 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             config,
-            state: Mutex::new(State { queue: VecDeque::new(), jobs: BTreeMap::new(), next_id: 1 }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                jobs: BTreeMap::new(),
+                finished: VecDeque::new(),
+                next_id: 1,
+            }),
             wake: Condvar::new(),
             draining: AtomicBool::new(false),
             sink: Mutex::new(sink),
@@ -543,6 +591,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             Some(out) => (out.results.len() as u64, out.failures.len() as u64),
             None => (0, spec_points(&job.spec) as u64),
         };
+        st.retire(id, shared.config.retained_jobs());
         (state, points, failed)
     };
     shared.emit(Event::JobDone { job: id, points, failed, wall_ms });
@@ -754,9 +803,10 @@ impl SyncWrite for CountingWrite {
 // Resume
 // ---------------------------------------------------------------------------
 
-/// Reloads persisted jobs: finished jobs become queryable again,
-/// cancelled jobs stay cancelled, everything else re-queues (seeding
-/// from its journal at run time, so completed points never re-simulate).
+/// Reloads persisted jobs: the newest finished jobs (up to
+/// [`ServeConfig::retained_jobs`]) become queryable again, cancelled jobs
+/// stay cancelled, everything else re-queues (seeding from its journal
+/// at run time, so completed points never re-simulate).
 fn resume_jobs(shared: &Arc<Shared>) -> io::Result<()> {
     let Some(dir) = shared.config.state_dir.clone() else { return Ok(()) };
     let mut ids = Vec::new();
@@ -769,9 +819,13 @@ fn resume_jobs(shared: &Arc<Shared>) -> io::Result<()> {
             }
         }
     }
-    ids.sort_unstable();
+    // Newest first, so the retention bound keeps the newest finished.
+    ids.sort_unstable_by(|a, b| b.cmp(a));
+    let retain = shared.config.retained_jobs();
+    let (mut queued, mut finished) = (Vec::new(), Vec::new());
     let mut st = shared.lock_state();
     for id in ids {
+        st.next_id = st.next_id.max(id + 1);
         let path = dir.join(format!("job-{id:06}.json"));
         let job = match load_persisted_job(shared, &path, id) {
             Ok(job) => job,
@@ -797,11 +851,16 @@ fn resume_jobs(shared: &Arc<Shared>) -> io::Result<()> {
             },
         };
         if job.state == JobState::Queued {
-            st.queue.push_back(id);
+            queued.push(id);
+        } else if finished.len() < retain {
+            finished.push(id);
+        } else {
+            continue;
         }
-        st.next_id = st.next_id.max(id + 1);
         st.jobs.insert(id, job);
     }
+    st.queue.extend(queued.into_iter().rev());
+    st.finished.extend(finished.into_iter().rev());
     Ok(())
 }
 
@@ -997,19 +1056,33 @@ fn dispatch(shared: &Arc<Shared>, conn: &mut ConnQuota, req: Request) -> Result<
 /// finishes (single-job watch), the subscriber lags out, the hub
 /// closes, or the client disconnects.
 fn watch_stream(shared: &Arc<Shared>, stream: &mut TcpStream, job: Option<u64>) {
-    // Validate before subscribing so an unknown id is a 404, not a
-    // stream that never speaks.
-    if let Some(id) = job {
-        if !shared.lock_state().jobs.contains_key(&id) {
-            let e = ProtoError::new(404, format!("no job {id}"));
-            let _ = write_line(stream, &proto::error_response(&e));
-            return;
-        }
-    }
-    // Subscribe *before* the terminal check: a job finishing between
-    // the two is caught either by the check or by its queued `done`
-    // frame — never missed.
+    // Subscribe *before* the lookup: a job finishing between the two is
+    // caught either by the lookup or by its queued `done` frame — never
+    // missed. An unknown or expired id is a 404, not a silent stream.
     let sub = shared.hub.subscribe(job, shared.config.watch_buffer);
+    let synthetic = match job {
+        Some(id) => {
+            let looked_up = shared.lock_state().job(id).map(|j| {
+                j.state.is_terminal().then(|| {
+                    let (points, failed) = match &j.outcome {
+                        Some(out) => (out.results.len() as u64, out.failures.len() as u64),
+                        None => (0, 0),
+                    };
+                    let wall_ms = j.wall_ms.unwrap_or(0);
+                    watch::done_frame(shared.now_ms(), id, j.state.label(), points, failed, wall_ms)
+                })
+            });
+            match looked_up {
+                Ok(frame) => frame,
+                Err(e) => {
+                    let _ = write_line(stream, &proto::error_response(&e));
+                    shared.hub.unsubscribe(&sub);
+                    return;
+                }
+            }
+        }
+        None => None,
+    };
     let ack = ok_response([
         (
             "watching",
@@ -1024,30 +1097,11 @@ fn watch_stream(shared: &Arc<Shared>, stream: &mut TcpStream, job: Option<u64>) 
         shared.hub.unsubscribe(&sub);
         return;
     }
-    if let Some(id) = job {
-        let synthetic = {
-            let st = shared.lock_state();
-            st.jobs.get(&id).filter(|j| j.state.is_terminal()).map(|j| {
-                let (points, failed) = match &j.outcome {
-                    Some(out) => (out.results.len() as u64, out.failures.len() as u64),
-                    None => (0, 0),
-                };
-                watch::done_frame(
-                    shared.now_ms(),
-                    id,
-                    j.state.label(),
-                    points,
-                    failed,
-                    j.wall_ms.unwrap_or(0),
-                )
-            })
-        };
-        if let Some(frame) = synthetic {
-            // Already terminal: one done frame and the stream ends.
-            let _ = write_line(stream, &frame);
-            shared.hub.unsubscribe(&sub);
-            return;
-        }
+    if let Some(frame) = synthetic {
+        // Already terminal: one done frame and the stream ends.
+        let _ = write_line(stream, &frame);
+        shared.hub.unsubscribe(&sub);
+        return;
     }
     let mut idle = Duration::ZERO;
     let poll = Duration::from_millis(200);
@@ -1173,7 +1227,6 @@ fn handle_submit(shared: &Arc<Shared>, req: SubmitRequest) -> Result<Value, Prot
         };
         let degraded = (eff_w, eff_m) != (warmup, measure);
         let id = st.next_id;
-        st.next_id += 1;
         let spec = JobSpec {
             id,
             tag: req.tag.clone(),
@@ -1191,6 +1244,9 @@ fn handle_submit(shared: &Arc<Shared>, req: SubmitRequest) -> Result<Value, Prot
             std::fs::write(&path, format!("{}\n", spec.to_json()))
                 .map_err(|e| ProtoError::new(500, format!("cannot persist job state: {e}")))?;
         }
+        // Only now is the id spent: every id below `next_id` names an
+        // admitted job, which is what lets an evicted one read `expired`.
+        st.next_id += 1;
         st.jobs.insert(
             id,
             Job {
@@ -1232,7 +1288,7 @@ fn handle_submit(shared: &Arc<Shared>, req: SubmitRequest) -> Result<Value, Prot
 
 fn handle_status(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
     let st = shared.lock_state();
-    let job = st.jobs.get(&id).ok_or_else(|| ProtoError::new(404, format!("no job {id}")))?;
+    let job = st.job(id)?;
     let failed = job.outcome.as_ref().map(|o| o.failures.len() as u64);
     Ok(ok_response([
         ("job", id.into()),
@@ -1248,7 +1304,7 @@ fn handle_status(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
 
 fn handle_result(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
     let st = shared.lock_state();
-    let job = st.jobs.get(&id).ok_or_else(|| ProtoError::new(404, format!("no job {id}")))?;
+    let job = st.job(id)?;
     if !job.state.is_terminal() {
         return Err(ProtoError::new(
             202,
@@ -1285,8 +1341,8 @@ fn handle_result(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
 fn handle_cancel(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
     let prior = {
         let mut st = shared.lock_state();
-        let job =
-            st.jobs.get_mut(&id).ok_or_else(|| ProtoError::new(404, format!("no job {id}")))?;
+        let next_id = st.next_id;
+        let job = st.jobs.get_mut(&id).ok_or_else(|| missing(id, next_id))?;
         let prior = job.state;
         match prior {
             JobState::Queued => {
@@ -1303,6 +1359,7 @@ fn handle_cancel(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
         }
         if prior == JobState::Queued {
             st.queue.retain(|&q| q != id);
+            st.retire(id, shared.config.retained_jobs());
         }
         prior
     };

@@ -9,6 +9,7 @@
 //! their supervisor as orphans.
 
 use std::io::{self, BufRead, Write};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// The exact heartbeat line workers emit between reply lines.
@@ -23,8 +24,8 @@ pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Runs the worker protocol until stdin EOF: for each request line,
 /// `handle` computes the reply on a separate thread while this thread
-/// emits heartbeats every `interval`; the reply is then written and
-/// flushed as one line.
+/// emits heartbeats every `interval`; the reply is written and flushed
+/// as one line the moment it exists.
 ///
 /// `handle` must return a single line (no `\n`). A panic inside
 /// `handle` is not caught — the worker dies, which is precisely the
@@ -47,24 +48,24 @@ pub fn worker_loop<R: BufRead, W: Write>(
             continue;
         }
         let reply = std::thread::scope(|scope| -> io::Result<String> {
-            let job = scope.spawn(|| handle(&line));
-            let mut last_hb = std::time::Instant::now();
-            while !job.is_finished() {
-                // Poll finely so a fast reply is not delayed behind a
-                // full heartbeat interval.
-                std::thread::sleep(interval.min(Duration::from_millis(25)));
-                if job.is_finished() {
-                    break;
+            let (tx, rx) = mpsc::channel();
+            let (handle, line) = (&mut handle, &line);
+            let job = scope.spawn(move || {
+                let _ = tx.send(handle(line));
+            });
+            // Wake on the reply itself; a timeout is a heartbeat due.
+            loop {
+                match rx.recv_timeout(interval) {
+                    Ok(reply) => return Ok(reply),
+                    Err(RecvTimeoutError::Timeout) => {
+                        writeln!(output, "{HEARTBEAT_LINE}")?;
+                        output.flush()?;
+                    }
+                    // The sender died unsent: `handle` panicked.
+                    Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                        job.join().expect_err("the job thread only exits unsent by panicking"),
+                    ),
                 }
-                if last_hb.elapsed() >= interval {
-                    writeln!(output, "{HEARTBEAT_LINE}")?;
-                    output.flush()?;
-                    last_hb = std::time::Instant::now();
-                }
-            }
-            match job.join() {
-                Ok(reply) => Ok(reply),
-                Err(payload) => std::panic::resume_unwind(payload),
             }
         })?;
         writeln!(output, "{reply}")?;

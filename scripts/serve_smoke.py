@@ -3,7 +3,7 @@
 
     python3 scripts/serve_smoke.py [path/to/repro]
 
-Boots the daemon on an ephemeral port, submits a 4-point quick sweep,
+Boots the daemon on an ephemeral port, submits a 4-point sweep,
 SIGTERMs it mid-run (graceful drain must exit 0), restarts with
 --resume, and asserts the healed results are bit-identical to an
 uninterrupted run. The uninterrupted reference run is watched over the
@@ -53,11 +53,15 @@ import time
 
 REPRO = sys.argv[1] if len(sys.argv) > 1 else "target/release/repro"
 SPEC = '[mmu]\nkind = "software-tlb"\ntable = "two-tier"\n'
+# 4 points of 2.2 M instructions (about 0.15 s each in a release build):
+# run length alone keeps points owed after the first one lands, which is
+# the window the SIGTERM and the worker kill below aim at.
 SUBMIT = {
     "req": "submit",
     "spec": SPEC,
     "sweep": ["tlb.entries=32,64,128,256"],
-    "scale": "quick",
+    "warmup": 200_000,
+    "measure": 2_000_000,
 }
 
 

@@ -25,14 +25,15 @@ use vm_serve::{Client, ServeConfig, Server};
 const ULTRIX: &str = "[mmu]\nkind = \"software-tlb\"\ntable = \"two-tier\"\n";
 
 /// A grid big enough that membership changes land mid-run: 4 TLB sizes
-/// x 3 L1 sizes x 2 table organizations, 24 points.
+/// x 3 L1 sizes x 2 table organizations, 24 points. Run length alone
+/// keeps the run going: one backend takes about a second unoptimized.
 fn wide_grid() -> (Vec<String>, Vec<Axis>, ExecConfig) {
     let axes = vec![
         Axis::parse("tlb.entries=16,32,64,128").unwrap(),
         Axis::parse("cache.l1=4K,8K,16K").unwrap(),
         Axis::parse("mmu.table=two-tier,hashed").unwrap(),
     ];
-    (vec![ULTRIX.to_owned()], axes, ExecConfig { warmup: 1_000, measure: 10_000, jobs: 1 })
+    (vec![ULTRIX.to_owned()], axes, ExecConfig { warmup: 1_000, measure: 60_000, jobs: 1 })
 }
 
 /// The 8-point grid the truncation sweep can afford to re-run many

@@ -1,7 +1,8 @@
 //! vm-serve end-to-end: chaos faults stay isolated in worker jobs while
 //! the listener keeps accepting, overload sheds explicitly, telemetry
-//! reconciles with the drain summary, and a drained daemon restarted
-//! with resume produces bit-identical results.
+//! reconciles with the drain summary, a drained daemon restarted with
+//! resume produces bit-identical results, and the finished-job table
+//! stays bounded, across restarts too.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -80,10 +81,12 @@ fn chaos_faults_stay_isolated_and_telemetry_reconciles() {
     assert_eq!(code(&c.request_line("this is not json").unwrap()), 400);
     assert_eq!(code(&c.request(&req("status", 99)).unwrap()), 404);
 
-    // Job A: 12 points, long enough to hold the single worker busy
-    // while the admission scenarios below play out.
+    // Job A: 12 points of 102k instructions each, long enough to hold
+    // the single worker busy while the dozen requests of admission
+    // scenarios below play out (about a second unoptimized; the window
+    // is run length, so it shrinks only with simulation speed).
     let a = c
-        .request(&submit_req(&["tlb.entries=16,32,64,128", "cache.l1=8K,16K,32K"], 2_000, 20_000))
+        .request(&submit_req(&["tlb.entries=16,32,64,128", "cache.l1=8K,16K,32K"], 2_000, 100_000))
         .unwrap();
     assert_eq!(code(&a), 200);
     let a_id = a.get("job").and_then(Value::as_u64).unwrap();
@@ -247,5 +250,110 @@ fn drain_then_resume_is_bit_identical() {
         "drain + resume must be bit-identical to an uninterrupted run"
     );
     assert_eq!(resumed.get("failures").unwrap().to_string(), "[]");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `n` single-point jobs back to back, checking after each that
+/// the job table holds at most `bound` finished jobs plus those in
+/// flight. Returns the job ids, oldest first.
+fn run_tiny_jobs(c: &mut Client, n: u64, bound: u64) -> Vec<u64> {
+    (0..n)
+        .map(|_| {
+            let r = c.request(&submit_req(&[], 100, 1_000)).unwrap();
+            let id = r.get("job").and_then(Value::as_u64).unwrap();
+            wait_state(c, id, |s| s == "done");
+            let health = c.request(&Value::obj([("req", "health".into())])).unwrap();
+            let field = |k: &str| health.get(k).and_then(Value::as_u64).unwrap();
+            assert!(field("jobs") <= bound + field("queued") + field("running"), "{health}");
+            id
+        })
+        .collect()
+}
+
+/// Asserts `id` answers `404 "job N expired"` to `kind`.
+fn assert_expired(reply: &Value, id: u64, kind: &str) {
+    assert_eq!(code(reply), 404, "{kind} {id}: {reply}");
+    let error = reply.get("error").and_then(Value::as_str).unwrap();
+    assert_eq!(error, format!("job {id} expired"), "{kind} {id}");
+}
+
+#[test]
+fn finished_jobs_past_the_retention_bound_expire_oldest_first() {
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let bound = config.retained_jobs() as u64;
+    let server = Server::start(config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let serve = std::thread::spawn(move || server.serve());
+    let mut c = Client::connect(addr).unwrap();
+
+    let ids = run_tiny_jobs(&mut c, bound + 8, bound);
+    let (expired, kept) = ids.split_at(8);
+    for &id in expired {
+        for kind in ["status", "result", "cancel"] {
+            assert_expired(&c.request(&req(kind, id)).unwrap(), id, kind);
+        }
+        let mut w = Client::connect(addr).unwrap();
+        w.send(&req("watch", id)).unwrap();
+        assert_expired(&w.next_line().unwrap(), id, "watch");
+    }
+    for &id in kept {
+        let result = c.request(&req("result", id)).unwrap();
+        assert_eq!(code(&result), 200, "{result}");
+        assert_eq!(result.get("results").unwrap().as_array().unwrap().len(), 1);
+    }
+    // An id never handed out is unknown, not expired.
+    let unknown = status(&mut c, bound + 100);
+    assert_eq!(
+        unknown.get("error").and_then(Value::as_str),
+        Some(&*format!("no job {}", bound + 100))
+    );
+
+    c.request(&Value::obj([("req", "drain".into())])).unwrap();
+    serve.join().unwrap().expect("drain must exit cleanly");
+}
+
+#[test]
+fn resume_reloads_only_the_newest_finished_jobs() {
+    let dir = temp_dir("retain");
+    let lifetime = |resume: bool| {
+        let config = ServeConfig {
+            workers: 1,
+            state_dir: Some(dir.clone()),
+            resume,
+            ..ServeConfig::default()
+        };
+        let bound = config.retained_jobs() as u64;
+        let server = Server::start(config).unwrap();
+        let addr = server.local_addr().unwrap();
+        (bound, std::thread::spawn(move || server.serve()), Client::connect(addr).unwrap())
+    };
+
+    let (bound, serve, mut c) = lifetime(false);
+    let ids = run_tiny_jobs(&mut c, bound + 8, bound);
+    c.request(&Value::obj([("req", "drain".into())])).unwrap();
+    serve.join().unwrap().expect("drain must exit cleanly");
+    // Eviction forgets jobs in memory only; every job file survives.
+    let files = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".json"))
+        .count();
+    assert_eq!(files as u64, bound + 8);
+
+    let (_, serve, mut c) = lifetime(true);
+    let health = c.request(&Value::obj([("req", "health".into())])).unwrap();
+    assert_eq!(health.get("jobs").and_then(Value::as_u64), Some(bound), "{health}");
+    for &id in &ids[..8] {
+        assert_expired(&status(&mut c, id), id, "status");
+    }
+    for &id in &ids[8..] {
+        let result = c.request(&req("result", id)).unwrap();
+        assert_eq!(result.get("state").and_then(Value::as_str), Some("done"), "{result}");
+        assert_eq!(result.get("resumed").and_then(Value::as_u64), Some(1), "{result}");
+    }
+    // Ids stay unique across lifetimes: the next job follows the newest.
+    let next = c.request(&submit_req(&[], 100, 1_000)).unwrap();
+    assert_eq!(next.get("job").and_then(Value::as_u64), Some(bound + 9));
+    c.request(&Value::obj([("req", "drain".into())])).unwrap();
+    serve.join().unwrap().expect("drain must exit cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }
