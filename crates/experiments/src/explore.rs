@@ -2,7 +2,7 @@
 //! CSV, Pareto frontier and sensitivity report out.
 //!
 //! The heavy lifting (parsing, validation, the fault-isolated
-//! work-stealing executor, the analysis passes) lives in `vm-explore`
+//! multi-threaded executor, the analysis passes) lives in `vm-explore`
 //! and `vm-harden`; this module is the glue that renders their results
 //! in the same [`TextTable`]/CSV house style as the paper experiments,
 //! and that wires the durable run journal behind `--journal`/`--resume`.

@@ -60,6 +60,6 @@ mod table;
 pub use claim::Claim;
 // The reporter moved to `vm-obs` so lower layers (the `vm-explore` sweep
 // executor) can heartbeat through it; re-exported here for continuity.
-pub use runner::{run_jobs, run_jobs_checked, run_jobs_reported, Job, Outcome, RunScale};
+pub use runner::{run_jobs, run_jobs_checked, Job, Outcome, RunScale};
 pub use table::TextTable;
 pub use vm_obs::{set_global_verbosity, Reporter, Verbosity};

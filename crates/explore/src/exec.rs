@@ -1,14 +1,12 @@
-//! The parallel, fault-isolated sweep executor.
+//! The parallel, fault-isolated sweep executor, and the scheduling core
+//! that every sweep and every experiment driver runs on.
 //!
-//! Points are distributed round-robin over per-worker deques; a worker
-//! that drains its own queue **steals** from the back of the fullest
-//! other queue (victim scan order is randomized per worker with a
-//! deterministic [`SplitMix64`] stream, so contention patterns vary but
-//! runs are reproducible). Every random stream a *result* depends on —
-//! the workload generator and the TLB replacement RNG — is seeded from
-//! the point's spec alone, never from worker identity, and outcomes are
-//! merged in point order; the same sweep therefore produces bit-identical
-//! results at any `--jobs` count.
+//! [`run_items`] runs a list of independent items on scoped worker
+//! threads that claim the next index from one shared cursor, and merges
+//! what they produce by index. Every random stream a *result* depends on
+//! — the workload generator and the TLB replacement RNG — is seeded from
+//! the point's spec alone, never from worker identity; the same sweep
+//! therefore produces bit-identical results at any `--jobs` count.
 //!
 //! [`run_sweep_hardened`] is the full executor: each point runs inside
 //! `catch_unwind` so one panicking point becomes a
@@ -30,7 +28,7 @@
 //! retry and one [`Event::SweepPointDone`] or [`Event::PointFailed`]
 //! per point.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,11 +42,40 @@ use vm_harden::{
 };
 use vm_obs::{Event, Reporter, Sink, SnapshotSink, Tee, HEARTBEAT_PERIOD};
 use vm_supervise::WorkerPool;
-use vm_types::SplitMix64;
 
 use crate::journal::result_to_value;
 use crate::progress::{PointCheckpoint, ProgressConfig};
 use crate::sweep::{PlannedPoint, SweepPlan};
+
+/// Run-length presets trading fidelity against wall-clock time: the one
+/// table behind the experiment drivers, sweeps, and the serve protocol's
+/// named scales.
+///
+/// The paper ran ≤200 M instructions per point; cache/TLB behaviour
+/// stabilizes far earlier for the megabyte-scale working sets simulated
+/// here, so the default measures 2 M instructions after a 1 M warm-up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunScale {
+    /// Instructions executed before counters are reset.
+    pub warmup: u64,
+    /// Instructions measured.
+    pub measure: u64,
+}
+
+impl RunScale {
+    /// Fast smoke-test scale (CI, examples).
+    pub const QUICK: RunScale = RunScale { warmup: 200_000, measure: 500_000 };
+    /// The default experiment scale.
+    pub const DEFAULT: RunScale = RunScale { warmup: 1_000_000, measure: 2_000_000 };
+    /// High-fidelity scale for final numbers.
+    pub const FULL: RunScale = RunScale { warmup: 2_000_000, measure: 8_000_000 };
+}
+
+impl Default for RunScale {
+    fn default() -> RunScale {
+        RunScale::DEFAULT
+    }
+}
 
 /// Run lengths for one sweep point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +89,15 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default experiment scale (matches the runner's default).
-    pub const DEFAULT: ExecConfig = ExecConfig { warmup: 1_000_000, measure: 2_000_000, jobs: 1 };
-    /// Fast smoke-test scale.
-    pub const QUICK: ExecConfig = ExecConfig { warmup: 200_000, measure: 500_000, jobs: 1 };
+    /// [`RunScale::DEFAULT`] on one worker.
+    pub const DEFAULT: ExecConfig = ExecConfig {
+        warmup: RunScale::DEFAULT.warmup,
+        measure: RunScale::DEFAULT.measure,
+        jobs: 1,
+    };
+    /// [`RunScale::QUICK`] on one worker.
+    pub const QUICK: ExecConfig =
+        ExecConfig { warmup: RunScale::QUICK.warmup, measure: RunScale::QUICK.measure, jobs: 1 };
 }
 
 impl Default for ExecConfig {
@@ -276,7 +308,7 @@ pub fn run_sweep_hardened<S: Sink>(
     plan: &SweepPlan,
     exec: &ExecConfig,
     policy: &HardenPolicy,
-    seeded: BTreeMap<usize, PointResult>,
+    mut seeded: BTreeMap<usize, PointResult>,
     reporter: &Reporter,
     sink: &mut S,
     journal: Option<&Mutex<DynJournalWriter>>,
@@ -304,28 +336,15 @@ pub fn run_sweep_hardened<S: Sink>(
         );
     }
 
-    let slots: Vec<Mutex<Option<(SweepPointOutcome, u32)>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-    let mut pending: Vec<usize> = Vec::with_capacity(total - resumed);
-    for (ix, slot) in slots.iter().enumerate() {
-        match seeded.get(&ix) {
-            Some(r) => *lock_slot(slot) = Some((PointOutcome::Completed(r.clone()), 1)),
-            None => pending.push(ix),
-        }
-    }
-
-    if !pending.is_empty() {
-        run_pending(points, &pending, exec, policy, reporter, journal, &slots, S::ENABLED);
-    }
-
-    let mut outcomes = Vec::with_capacity(total);
-    let mut attempts = Vec::with_capacity(total);
-    for slot in slots {
-        let (outcome, tries) =
-            slot.into_inner().unwrap_or_else(|e| e.into_inner()).expect("every point ran");
-        outcomes.push(outcome);
-        attempts.push(tries);
-    }
+    let pending: Vec<usize> = (0..total).filter(|ix| !seeded.contains_key(ix)).collect();
+    let mut ran =
+        run_pending(points, &pending, exec, policy, reporter, journal, S::ENABLED).into_iter();
+    let (outcomes, attempts): (Vec<_>, Vec<_>) = (0..total)
+        .map(|ix| match seeded.remove(&ix) {
+            Some(r) => (PointOutcome::Completed(r), 1),
+            None => ran.next().expect("one outcome per pending point"),
+        })
+        .unzip();
 
     if S::ENABLED {
         let mut now = 0;
@@ -380,15 +399,86 @@ pub fn run_sweep_hardened<S: Sink>(
     SweepOutcome { outcomes, attempts, resumed }
 }
 
-/// Locks a result slot, tolerating poisoning (a worker that panicked
-/// between store and unlock must not cascade).
-fn lock_slot<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    slot.lock().unwrap_or_else(|e| e.into_inner())
+/// Runs `work` over `items` on up to `threads` scoped workers and returns
+/// what it produced, in item order.
+///
+/// This is the one scheduling core behind every sweep and every
+/// experiment driver. Workers claim the next index from one shared
+/// cursor, so the work balances itself, and results merge by index, so
+/// the returned vector is the same at any `threads`. `work` returns
+/// `None` to decline an item: nothing is stored, counted or reported for
+/// it. Otherwise it returns the item's result, the item's label and a
+/// status word for the per-item Verbose completion line. `instrs` gives
+/// each item's planned instruction count; the heartbeat sums it over the
+/// items that have finished.
+///
+/// Workers run under [`quiet_panics`], so `work` must catch the unwinds
+/// it expects. A panic that escapes `work` is resumed on the caller once
+/// every worker has stopped.
+pub fn run_items<'a, T: Sync, R: Send>(
+    items: &'a [T],
+    threads: usize,
+    reporter: &Reporter,
+    label: &str,
+    instrs: impl Fn(&T) -> u64 + Sync,
+    work: impl Fn(&'a T) -> Option<(R, &'a str, &'static str)> + Sync,
+) -> Vec<Option<R>> {
+    let planned: u64 = items.iter().map(&instrs).sum();
+    let next = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    let simulated = AtomicU64::new(0);
+    let started = Instant::now();
+    // Silent for short runs (first beat after ~2s), periodic progress
+    // for long ones.
+    let beat = || {
+        let instrs = simulated.load(Ordering::Relaxed);
+        reporter.heartbeat(format!(
+            "  [{label}] {}/{} done ({:.0}% of planned instrs) at {:.1}M instrs/s",
+            done.load(Ordering::Relaxed),
+            items.len(),
+            100.0 * instrs as f64 / planned.max(1) as f64,
+            instrs as f64 / started.elapsed().as_secs_f64().max(1e-9) / 1e6,
+        ));
+    };
+    let worker = || {
+        // `work` catches and classifies the unwinds it expects; keep the
+        // hook from printing a banner for each of them.
+        let _quiet = quiet_panics();
+        let mut finished = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break finished };
+            let t0 = Instant::now();
+            let Some((result, name, status)) = work(item) else { continue };
+            simulated.fetch_add(instrs(item), Ordering::Relaxed);
+            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
+            reporter.detail(format!(
+                "  [{label}] {k}/{} `{name}` {status} in {:.2}s",
+                items.len(),
+                t0.elapsed().as_secs_f64()
+            ));
+            finished.push((i, result));
+        }
+    };
+    let joined = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            (0..threads.max(1).min(items.len())).map(|_| scope.spawn(worker)).collect();
+        reporter.with_heartbeat(HEARTBEAT_PERIOD, beat, || {
+            workers.into_iter().map(|w| w.join()).collect::<Vec<_>>()
+        })
+    });
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for finished in joined {
+        match finished {
+            Ok(finished) => finished.into_iter().for_each(|(i, r)| results[i] = Some(r)),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    results
 }
 
-/// Simulates the `pending` points of `plan` over the work-stealing
-/// worker pool, storing `(outcome, attempts)` into `slots`.
-#[allow(clippy::too_many_arguments)]
+/// Simulates the `pending` points of `plan` on [`run_items`], returning
+/// `(outcome, attempts)` per pending point, in order.
 fn run_pending(
     points: &[PlannedPoint],
     pending: &[usize],
@@ -396,159 +486,61 @@ fn run_pending(
     policy: &HardenPolicy,
     reporter: &Reporter,
     journal: Option<&Mutex<DynJournalWriter>>,
-    slots: &[Mutex<Option<(SweepPointOutcome, u32)>>],
     sink_enabled: bool,
-) {
-    let jobs = exec.jobs.max(1).min(pending.len());
-    let planned_instrs = (exec.warmup + exec.measure) * pending.len() as u64;
-
-    // Round-robin deal into per-worker deques; idle workers steal from
-    // the back of the fullest queue.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new(pending.iter().copied().skip(w).step_by(jobs).collect()))
-        .collect();
-    let done = AtomicUsize::new(0);
-    let consumed = AtomicU64::new(0);
-    let started = Instant::now();
-    // Silent for short sweeps, periodic progress for long ones, same
-    // cadence as the experiment runner.
-    let beat = || {
-        let instrs = consumed.load(Ordering::Relaxed);
-        let elapsed = started.elapsed().as_secs_f64();
-        reporter.heartbeat(format!(
-            "  [explore] {}/{} points ({:.0}% of planned instrs) at {:.1}M instrs/s",
-            done.load(Ordering::Relaxed),
-            pending.len(),
-            100.0 * instrs as f64 / planned_instrs.max(1) as f64,
-            instrs as f64 / elapsed.max(1e-9) / 1e6,
-        ));
-    };
-
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(jobs);
-        for w in 0..jobs {
-            let queues = &queues;
-            let done = &done;
-            let consumed = &consumed;
-            workers.push(scope.spawn(move || {
-                // Expected unwinds (chaos, deadlines, corrupt records)
-                // are caught and classified; keep the hook from spraying
-                // a backtrace banner per isolated failure.
-                let _quiet = quiet_panics();
-                // Deterministic per-worker stream; only steers which
-                // victim is probed first, never anything a result
-                // depends on.
-                let mut rng = SplitMix64::new(steal_seed(w));
-                while let Some(ix) = next_point(w, queues, &mut rng) {
-                    let point = &points[ix];
-                    if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        // Drain without simulating or journaling: the
-                        // missing journal entry is what makes a resume
-                        // re-run the point.
-                        let e = point_error(
-                            point,
-                            FailureKind::Cancelled,
-                            "sweep cancelled before this point ran",
-                        );
-                        *lock_slot(&slots[ix]) = Some((PointOutcome::Failed(e), 1));
-                        if let Some(progress) = &policy.progress {
-                            progress.observer.point_finished(ix, false);
-                        }
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let (outcome, tries) = measure_point_isolated(point, exec, policy);
-                    if let Some(journal) = journal {
-                        let entry = JournalEntry::from_outcome(
-                            ix as u64,
-                            &point.label,
-                            &outcome,
-                            tries,
-                            result_to_value,
-                        );
-                        lock_slot(journal).record(&entry);
-                    }
-                    consumed.fetch_add(exec.warmup + exec.measure, Ordering::Relaxed);
-                    let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    reporter.detail(format!(
-                        "  [explore] {k}/{} `{}` {} in {:.2}s",
-                        pending.len(),
-                        point.label,
-                        outcome.status_label(),
-                        t0.elapsed().as_secs_f64()
-                    ));
-                    let ok = matches!(outcome, PointOutcome::Completed(_));
-                    *lock_slot(&slots[ix]) = Some((outcome, tries));
-                    if let Some(progress) = &policy.progress {
-                        progress.observer.point_finished(ix, ok);
-                        // Deliver supervision telemetry (crashes,
-                        // restarts, breaker trips) live, per point,
-                        // rather than only at sweep teardown. When a
-                        // recording sink is attached it keeps its
-                        // deterministic teardown drain instead.
-                        if !sink_enabled {
-                            if let Some(pool) = &policy.process {
-                                for ev in pool.take_events() {
-                                    progress.observer.pool_event(&ev);
-                                }
-                            }
-                        }
+) -> Vec<(SweepPointOutcome, u32)> {
+    let instrs = |_: &usize| exec.warmup + exec.measure;
+    let ran = run_items(pending, exec.jobs, reporter, "explore", instrs, |&ix| {
+        let point = &points[ix];
+        if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+            if let Some(progress) = &policy.progress {
+                progress.observer.point_finished(ix, false);
+            }
+            return None;
+        }
+        let (outcome, tries) = measure_point_isolated(point, exec, policy);
+        if let Some(journal) = journal {
+            let entry = JournalEntry::from_outcome(
+                ix as u64,
+                &point.label,
+                &outcome,
+                tries,
+                result_to_value,
+            );
+            journal.lock().unwrap_or_else(|e| e.into_inner()).record(&entry);
+        }
+        if let Some(progress) = &policy.progress {
+            progress.observer.point_finished(ix, matches!(outcome, PointOutcome::Completed(_)));
+            // Deliver supervision telemetry (crashes, restarts, breaker
+            // trips) live, per point, rather than only at sweep teardown.
+            // When a recording sink is attached it keeps its
+            // deterministic teardown drain instead.
+            if !sink_enabled {
+                if let Some(pool) = &policy.process {
+                    for ev in pool.take_events() {
+                        progress.observer.pool_event(&ev);
                     }
                 }
-            }));
+            }
         }
-        let worker_panic = reporter.with_heartbeat(HEARTBEAT_PERIOD, beat, || {
-            workers.into_iter().find_map(|h| h.join().err())
-        });
-        if let Some(payload) = worker_panic {
-            // Only infrastructure bugs reach here — point panics are
-            // caught and classified inside measure_point_isolated.
-            std::panic::resume_unwind(payload);
-        }
+        let status = outcome.status_label();
+        Some(((outcome, tries), point.label.as_str(), status))
     });
-}
-
-/// Mixes a worker id into a seed for its steal stream.
-fn steal_seed(w: usize) -> u64 {
-    0x5eed_ba5e_0000_0000 ^ w as u64
-}
-
-/// Pops the worker's own queue, or steals from the back of the fullest
-/// other queue (first probe randomized by the worker's stream).
-fn next_point(w: usize, queues: &[Mutex<VecDeque<usize>>], rng: &mut SplitMix64) -> Option<usize> {
-    if let Some(ix) = lock_slot(&queues[w]).pop_front() {
-        return Some(ix);
-    }
-    let n = queues.len();
-    let start = (rng.next_u64() as usize) % n;
-    // Two passes: find the fullest victim, then fall back to any victim
-    // (a queue may drain between the scan and the steal).
-    let mut best: Option<(usize, usize)> = None;
-    for off in 0..n {
-        let v = (start + off) % n;
-        if v == w {
-            continue;
-        }
-        let len = lock_slot(&queues[v]).len();
-        if len > best.map(|(_, l)| l).unwrap_or(0) {
-            best = Some((v, len));
-        }
-    }
-    if let Some((v, _)) = best {
-        if let Some(ix) = lock_slot(&queues[v]).pop_back() {
-            return Some(ix);
-        }
-    }
-    for off in 0..n {
-        let v = (start + off) % n;
-        if v == w {
-            continue;
-        }
-        if let Some(ix) = lock_slot(&queues[v]).pop_back() {
-            return Some(ix);
-        }
-    }
-    None
+    // Only the cancel flag declines a point. Such points drain without
+    // simulating or journaling: the missing journal entry is what makes a
+    // resume re-run them.
+    ran.into_iter()
+        .zip(pending)
+        .map(|(ran, &ix)| {
+            ran.unwrap_or_else(|| {
+                let e = point_error(
+                    &points[ix],
+                    FailureKind::Cancelled,
+                    "sweep cancelled before this point ran",
+                );
+                (PointOutcome::Failed(e), 1)
+            })
+        })
+        .collect()
 }
 
 /// A [`SimError`] carrying the point's label and axis settings.
@@ -662,39 +654,22 @@ fn try_measure_point(
     let horizon = exec.warmup + exec.measure;
     let checked = CheckedTrace::new(policy.chaos.wrap(point.index, horizon, trace));
     let run = catch_unwind(AssertUnwindSafe(|| {
-        match (&policy.progress, policy.point_budget) {
-            (None, Some(budget)) => simulate_with_sink(
-                &point.config,
-                checked,
-                exec.warmup,
-                exec.measure,
-                DeadlineSink::new(budget),
-            )
-            .map(|(report, _)| report),
+        match (policy.point_budget, &policy.progress) {
             (None, None) => simulate(&point.config, checked, exec.warmup, exec.measure),
-            (Some(progress), budget) => {
+            (budget, progress) => {
                 // Sinks are observers by construction, so attaching the
-                // snapshot sink (alone or teed with the deadline) leaves
-                // the measured results bit-identical.
+                // deadline and/or snapshot sink leaves the measured results
+                // bit-identical.
                 let cost = CostModel::paper(point.spec.interrupt_cycles);
-                let observer = &progress.observer;
-                let snap = SnapshotSink::new(progress.interval, |cp| {
-                    observer.checkpoint(&PointCheckpoint::from_snapshot(point, cp, horizon, &cost));
+                let snap = progress.as_ref().map(|progress| {
+                    SnapshotSink::new(progress.interval, |cp| {
+                        let cp = PointCheckpoint::from_snapshot(point, cp, horizon, &cost);
+                        progress.observer.checkpoint(&cp);
+                    })
                 });
-                match budget {
-                    Some(budget) => simulate_with_sink(
-                        &point.config,
-                        checked,
-                        exec.warmup,
-                        exec.measure,
-                        Tee(DeadlineSink::new(budget), snap),
-                    )
-                    .map(|(report, _)| report),
-                    None => {
-                        simulate_with_sink(&point.config, checked, exec.warmup, exec.measure, snap)
-                            .map(|(report, _)| report)
-                    }
-                }
+                let sink = Tee(budget.map(DeadlineSink::new), snap);
+                simulate_with_sink(&point.config, checked, exec.warmup, exec.measure, sink)
+                    .map(|(report, _)| report)
             }
         }
         .map_err(|e| point_error(point, FailureKind::Build, e.to_string()))
@@ -868,6 +843,50 @@ mod tests {
                 assert!(pair[1].2 > pair[0].2);
             }
         }
+    }
+
+    #[test]
+    fn the_core_returns_results_in_item_order_at_any_worker_count() {
+        let items: Vec<u64> = (0..12).collect();
+        // Every fifth item is declined; the rest double their input. Early
+        // items take longest, so on several workers they finish last.
+        let work = |&i: &u64| {
+            std::thread::sleep(std::time::Duration::from_millis(12 - i));
+            (i % 5 != 0).then_some((2 * i, "item", "done"))
+        };
+        let want: Vec<Option<u64>> = items.iter().map(|&i| (i % 5 != 0).then_some(2 * i)).collect();
+        for threads in [1, 3, 8] {
+            let out = run_items(&items, threads, &Reporter::silent(), "test", |_| 1, work);
+            assert_eq!(out, want, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn the_core_returns_nothing_for_no_items() {
+        let work = |&i: &u64| Some((i, "item", "done"));
+        let out = run_items(&[], 4, &Reporter::silent(), "test", |_| 1, work);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_panic_escaping_an_item_reaches_the_caller_with_its_payload() {
+        let work = |&i: &u64| {
+            if i == 2 {
+                std::panic::panic_any("item 2 escaped");
+            }
+            Some((i, "item", "done"))
+        };
+        let payload =
+            catch_unwind(|| run_items(&[0, 1, 2, 3], 2, &Reporter::silent(), "test", |_| 1, work))
+                .expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 2 escaped"));
+    }
+
+    #[test]
+    fn scales_are_ordered() {
+        let scales = [RunScale::QUICK, RunScale::DEFAULT, RunScale::FULL];
+        assert!(scales.windows(2).all(|w| w[0].measure < w[1].measure));
+        assert_eq!(RunScale::default(), RunScale::DEFAULT);
     }
 
     #[test]

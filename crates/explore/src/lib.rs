@@ -13,9 +13,10 @@
 //!   (`tlb.entries=32,64,128`) over a base spec, with invalid grid
 //!   corners recorded (not silently dropped) alongside the validator's
 //!   reason.
-//! * [`run_sweep`] / [`run_sweep_hardened`] — a work-stealing
-//!   multi-threaded executor whose merged results are bit-identical at
-//!   any `--jobs` count, reporting progress through the `vm-obs`
+//! * [`run_sweep`] / [`run_sweep_hardened`] — a multi-threaded executor
+//!   on [`run_items`], the scheduling core the experiment drivers share,
+//!   whose merged results are bit-identical at any `--jobs` count,
+//!   reporting progress through the `vm-obs`
 //!   [`vm_obs::Reporter`] and emitting `SweepStarted`/`SweepPointDone`
 //!   events. The hardened variant isolates per-point faults into
 //!   [`SweepPointOutcome`]s, retries transient failures, enforces
@@ -42,8 +43,8 @@ pub mod sweep;
 pub use analysis::{pareto_frontier, sensitivity, AxisSensitivity};
 pub use attest::{context_for, point_context, verify_in_context, verify_sealed};
 pub use exec::{
-    run_sweep, run_sweep_hardened, tlb_area_bytes, ExecConfig, HardenPolicy, PointResult,
-    SweepOutcome, SweepPointOutcome,
+    run_items, run_sweep, run_sweep_hardened, tlb_area_bytes, ExecConfig, HardenPolicy,
+    PointResult, RunScale, SweepOutcome, SweepPointOutcome,
 };
 pub use journal::{
     plan_fingerprint, result_from_value, result_to_value, run_header, seeded_from_journal,

@@ -26,6 +26,7 @@
 //! chunk bodies; 64-bit checksums cross the wire as 16-hex-digit
 //! strings because a JSON number is an `f64` and drops bits past 2^53.
 
+use vm_explore::RunScale;
 use vm_obs::json::{self, Value};
 
 /// Protocol version, reported by `health`.
@@ -58,9 +59,9 @@ impl std::error::Error for ProtoError {}
 /// Requested run scale for a submitted sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// Smoke-test lengths ([`vm_explore::ExecConfig::QUICK`]).
+    /// Smoke-test lengths ([`RunScale::QUICK`]).
     Quick,
-    /// Full experiment lengths ([`vm_explore::ExecConfig::DEFAULT`]).
+    /// Full experiment lengths ([`RunScale::DEFAULT`]).
     #[default]
     Default,
 }
@@ -68,11 +69,11 @@ pub enum Scale {
 impl Scale {
     /// The `(warmup, measure)` instruction counts this scale names.
     pub fn lengths(self) -> (u64, u64) {
-        use vm_explore::ExecConfig;
-        match self {
-            Scale::Quick => (ExecConfig::QUICK.warmup, ExecConfig::QUICK.measure),
-            Scale::Default => (ExecConfig::DEFAULT.warmup, ExecConfig::DEFAULT.measure),
-        }
+        let scale = match self {
+            Scale::Quick => RunScale::QUICK,
+            Scale::Default => RunScale::DEFAULT,
+        };
+        (scale.warmup, scale.measure)
     }
 }
 
