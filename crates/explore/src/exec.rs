@@ -7,6 +7,8 @@
 //! — the workload generator and the TLB replacement RNG — is seeded from
 //! the point's spec alone, never from worker identity; the same sweep
 //! therefore produces bit-identical results at any `--jobs` count.
+//! Points that replay the same library trace (`trace:NAME`) share one
+//! decoded, read-only copy of it per sweep.
 //!
 //! [`run_sweep_hardened`] is the full executor: each point runs inside
 //! `catch_unwind` so one panicking point becomes a
@@ -28,10 +30,10 @@
 //! retry and one [`Event::SweepPointDone`] or [`Event::PointFailed`]
 //! per point.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use vm_core::cost::CostModel;
@@ -489,15 +491,18 @@ fn run_pending(
     sink_enabled: bool,
 ) -> Vec<(SweepPointOutcome, u32)> {
     let instrs = |_: &usize| exec.warmup + exec.measure;
+    let traces = TraceTable::for_points(pending.iter().map(|&ix| &points[ix]));
     let ran = run_items(pending, exec.jobs, reporter, "explore", instrs, |&ix| {
         let point = &points[ix];
         if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+            traces.release(point);
             if let Some(progress) = &policy.progress {
                 progress.observer.point_finished(ix, false);
             }
             return None;
         }
-        let (outcome, tries) = measure_point_isolated(point, exec, policy);
+        let (outcome, tries) = measure_point_isolated(point, exec, policy, &traces);
+        traces.release(point);
         if let Some(journal) = journal {
             let entry = JournalEntry::from_outcome(
                 ix as u64,
@@ -506,7 +511,7 @@ fn run_pending(
                 tries,
                 result_to_value,
             );
-            journal.lock().unwrap_or_else(|e| e.into_inner()).record(&entry);
+            lock(journal).record(&entry);
         }
         if let Some(progress) = &policy.progress {
             progress.observer.point_finished(ix, matches!(outcome, PointOutcome::Completed(_)));
@@ -558,12 +563,14 @@ pub(crate) fn point_error(
 /// [`HardenPolicy::process`] set the point crosses into a supervised
 /// worker process (which runs this same function, sans pool); otherwise
 /// it runs in-process: chaos injection, retries for transient failures,
-/// `catch_unwind` classification of panics and sentinels. Returns the
-/// outcome and the attempts consumed.
+/// `catch_unwind` classification of panics and sentinels, replaying any
+/// library trace from `traces`. Returns the outcome and the attempts
+/// consumed.
 pub(crate) fn measure_point_isolated(
     point: &PlannedPoint,
     exec: &ExecConfig,
     policy: &HardenPolicy,
+    traces: &TraceTable,
 ) -> (SweepPointOutcome, u32) {
     if let Some(pool) = &policy.process {
         return crate::process::measure_point_process(pool, point, exec, policy);
@@ -579,12 +586,85 @@ pub(crate) fn measure_point_isolated(
                 ));
             }
         }
-        try_measure_point(point, exec, policy)
+        try_measure_point(point, exec, policy, traces)
     });
     match result {
         Ok(r) => (PointOutcome::Completed(r), attempts),
         Err(e) if e.kind == FailureKind::Timeout => (PointOutcome::TimedOut(e), attempts),
         Err(e) => (PointOutcome::Failed(e), attempts),
+    }
+}
+
+/// Decoded library traces, keyed by trace name, shared read-only by the
+/// points of one [`run_pending`] call.
+///
+/// The first point that needs a trace decodes it; a point that needs it
+/// meanwhile waits for that decode rather than starting a second one. A
+/// failed decode is not remembered, so the next point that names the
+/// trace tries again. A trace counted by [`TraceTable::for_points`] is
+/// dropped once [`TraceTable::release`] has been called for each of its
+/// points; one loaded by a point that was not counted lives as long as
+/// the table.
+#[derive(Default)]
+pub(crate) struct TraceTable {
+    slots: Mutex<HashMap<String, TraceSlot>>,
+}
+
+/// One library trace's entry in a [`TraceTable`].
+#[derive(Default)]
+struct TraceSlot {
+    /// Counted points that name the trace and have not finished.
+    users: usize,
+    /// The decoded records once a point has loaded them. A decoding
+    /// point holds this lock, so others that need the trace wait on it.
+    records: Arc<Mutex<Option<Arc<Vec<vm_trace::InstrRecord>>>>>,
+}
+
+/// Locks `m` even when a panicking point poisoned it: the executor
+/// turns panics into point failures and carries on with the sweep.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl TraceTable {
+    /// A table expecting one [`release`](TraceTable::release) per point
+    /// of `points` that names a library trace.
+    fn for_points<'a>(points: impl Iterator<Item = &'a PlannedPoint>) -> TraceTable {
+        let mut slots = HashMap::<String, TraceSlot>::new();
+        for name in points.filter_map(|p| vm_trace::trace_workload(p.spec.workload_name())) {
+            slots.entry(name.to_owned()).or_default().users += 1;
+        }
+        TraceTable { slots: Mutex::new(slots) }
+    }
+
+    /// The records of trace `name`, decoded from `library` unless
+    /// another point has decoded them already.
+    fn load(
+        &self,
+        library: &vm_trace::TraceLibrary,
+        name: &str,
+    ) -> Result<Arc<Vec<vm_trace::InstrRecord>>, vm_trace::LibraryError> {
+        let slot = Arc::clone(&lock(&self.slots).entry(name.to_owned()).or_default().records);
+        let mut records = lock(&slot);
+        if let Some(records) = &*records {
+            return Ok(Arc::clone(records));
+        }
+        let decoded = Arc::new(library.load(name)?);
+        *records = Some(Arc::clone(&decoded));
+        Ok(decoded)
+    }
+
+    /// Notes that `point` has finished; after the last counted point that
+    /// names a trace, the table drops that trace.
+    fn release(&self, point: &PlannedPoint) {
+        let Some(name) = vm_trace::trace_workload(point.spec.workload_name()) else { return };
+        let mut slots = lock(&self.slots);
+        if let Some(slot) = slots.get_mut(name) {
+            slot.users -= 1;
+            if slot.users == 0 {
+                slots.remove(name);
+            }
+        }
     }
 }
 
@@ -595,7 +675,8 @@ pub(crate) fn measure_point_isolated(
 /// structured [`FailureKind::Ingest`] errors, never mid-simulation.
 enum PointTrace {
     Synth(Box<vm_trace::SyntheticTrace>),
-    Replay(std::vec::IntoIter<vm_trace::InstrRecord>),
+    /// Shared read-only records and this point's cursor into them.
+    Replay(Arc<Vec<vm_trace::InstrRecord>>, usize),
 }
 
 impl Iterator for PointTrace {
@@ -604,15 +685,23 @@ impl Iterator for PointTrace {
     fn next(&mut self) -> Option<vm_trace::InstrRecord> {
         match self {
             PointTrace::Synth(t) => t.next(),
-            PointTrace::Replay(t) => t.next(),
+            PointTrace::Replay(records, at) => {
+                let rec = *records.get(*at)?;
+                *at += 1;
+                Some(rec)
+            }
         }
     }
 }
 
 /// Resolves a point's workload into a record source and display label.
+/// A library trace comes from `traces` and must hold at least the run's
+/// warm-up plus measured instructions.
 fn point_trace(
     point: &PlannedPoint,
+    exec: &ExecConfig,
     policy: &HardenPolicy,
+    traces: &TraceTable,
 ) -> Result<(String, PointTrace), SimError> {
     let name = point.spec.workload_name();
     if let Some(trace_name) = vm_trace::trace_workload(name) {
@@ -628,10 +717,19 @@ fn point_trace(
                     vm_trace::LibraryError::NoLibrary.to_string(),
                 )
             })?;
-        let records = library
-            .load(trace_name)
+        let records = traces
+            .load(&library, trace_name)
             .map_err(|e| point_error(point, FailureKind::Ingest, e.to_string()))?;
-        Ok((name.to_owned(), PointTrace::Replay(records.into_iter())))
+        let (held, warmup, measure) = (records.len(), exec.warmup, exec.measure);
+        if (held as u64) < warmup + measure {
+            let detail = format!(
+                "trace `{trace_name}` holds {held} records; this run needs {} \
+                 ({warmup} warm-up + {measure} measured)",
+                warmup + measure
+            );
+            return Err(point_error(point, FailureKind::Ingest, detail));
+        }
+        Ok((name.to_owned(), PointTrace::Replay(records, 0)))
     } else {
         let workload = vm_trace::presets::by_name(name).ok_or_else(|| {
             point_error(point, FailureKind::Workload, "workload vanished after validation")
@@ -649,8 +747,9 @@ fn try_measure_point(
     point: &PlannedPoint,
     exec: &ExecConfig,
     policy: &HardenPolicy,
+    traces: &TraceTable,
 ) -> Result<PointResult, SimError> {
-    let (workload_label, trace) = point_trace(point, policy)?;
+    let (workload_label, trace) = point_trace(point, exec, policy, traces)?;
     let horizon = exec.warmup + exec.measure;
     let checked = CheckedTrace::new(policy.chaos.wrap(point.index, horizon, trace));
     let run = catch_unwind(AssertUnwindSafe(|| {
@@ -1099,45 +1198,182 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trace_workloads_replay_from_the_library_or_fail_as_ingest() {
-        let dir = std::env::temp_dir().join(format!("vm-exec-lib-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    /// Installs a 12 000-record gcc trace as `captured` in `dir`:
+    /// exactly [`tiny_exec`]'s warm-up plus measured run.
+    fn install_captured(dir: &std::path::Path) {
         let records: Vec<vm_trace::InstrRecord> =
             vm_trace::presets::by_name("gcc").unwrap().build(3).unwrap().take(12_000).collect();
         let staged = dir.join("staged");
         vm_trace::write_trace(std::fs::File::create(&staged).unwrap(), records.iter().copied())
             .unwrap();
-        vm_trace::TraceLibrary::new(&dir).install("captured", &staged).unwrap();
+        vm_trace::TraceLibrary::new(dir).install("captured", &staged).unwrap();
+    }
 
+    /// A fresh, empty library directory private to one test.
+    fn empty_library(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vm-exec-lib-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// ULTRIX over `trace:captured`, `tlb.entries=16,32,64` ×
+    /// `mmu.table=two-tier,hashed`: six points replaying one trace.
+    fn captured_plan() -> SweepPlan {
+        let mut base = SystemSpec::for_kind(SystemKind::Ultrix);
+        base.workload = Some("trace:captured".to_owned());
+        let axes = [
+            Axis::parse("tlb.entries=16,32,64").unwrap(),
+            Axis::parse("mmu.table=two-tier,hashed").unwrap(),
+        ];
+        SweepPlan::expand(&base, &axes).unwrap()
+    }
+
+    #[test]
+    fn trace_workloads_replay_from_the_library_or_fail_as_ingest() {
+        let dir = empty_library("replay");
+        install_captured(&dir);
         let mut base = SystemSpec::for_kind(SystemKind::Ultrix);
         base.workload = Some("trace:captured".to_owned());
         let axes: [Axis; 0] = [];
         let plan = SweepPlan::expand(&base, &axes).unwrap();
         let exec = tiny_exec(1);
+        let measure = |exec: &ExecConfig, policy: &HardenPolicy, point: &PlannedPoint| {
+            measure_point_isolated(point, exec, policy, &TraceTable::default()).0
+        };
 
         // No library configured (explicit or env): a structured ingest
         // failure — not a panic, not a workload error.
-        let (outcome, _) = measure_point_isolated(&plan.points[0], &exec, &HardenPolicy::default());
+        let outcome = measure(&exec, &HardenPolicy::default(), &plan.points[0]);
         assert_eq!(outcome.error().expect("no library").kind, FailureKind::Ingest);
 
+        // The trace holds exactly the run's 2 k + 10 k instructions.
         let policy = HardenPolicy { trace_library: Some(dir.clone()), ..HardenPolicy::default() };
-        let (first, _) = measure_point_isolated(&plan.points[0], &exec, &policy);
+        let first = measure(&exec, &policy, &plan.points[0]);
         let first = first.completed().expect("replay completes").clone();
         assert_eq!(first.workload, "trace:captured");
+        assert_eq!(first.user_instrs, 10_000);
         // Replay is deterministic: a second run is bit-identical.
-        let (again, _) = measure_point_isolated(&plan.points[0], &exec, &policy);
+        let again = measure(&exec, &policy, &plan.points[0]);
         assert_eq!(again.completed().unwrap().vm_total.to_bits(), first.vm_total.to_bits());
+
+        // A run longer than the trace fails before it starts, naming the
+        // trace's length and the run's.
+        let long = ExecConfig { measure: 20_000, ..exec };
+        let outcome = measure(&long, &policy, &plan.points[0]);
+        let e = outcome.error().expect("short trace fails");
+        assert_eq!(e.kind, FailureKind::Ingest);
+        assert!(e.detail.contains("trace `captured` holds 12000 records"), "{e}");
+        assert!(e.detail.contains("needs 22000 (2000 warm-up + 20000 measured)"), "{e}");
 
         // A missing trace is also an ingest failure, naming the trace.
         let mut missing = base.clone();
         missing.workload = Some("trace:nope".to_owned());
         let plan = SweepPlan::expand(&missing, &axes).unwrap();
-        let (outcome, _) = measure_point_isolated(&plan.points[0], &exec, &policy);
+        let outcome = measure(&exec, &policy, &plan.points[0]);
         let e = outcome.error().expect("missing trace fails");
         assert_eq!(e.kind, FailureKind::Ingest);
         assert!(e.detail.contains("`nope`"), "{e}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shared_trace_replays_like_a_per_point_decode_at_any_job_count() {
+        let dir = empty_library("shared");
+        install_captured(&dir);
+        let plan = captured_plan();
+        let policy = HardenPolicy { trace_library: Some(dir.clone()), ..HardenPolicy::default() };
+        // Each point measured alone with a fresh table decodes its own copy.
+        let alone: Vec<PointResult> = plan
+            .points
+            .iter()
+            .map(|p| {
+                let (outcome, _) =
+                    measure_point_isolated(p, &tiny_exec(1), &policy, &TraceTable::default());
+                outcome.completed().expect("replay completes").clone()
+            })
+            .collect();
+        assert_eq!(alone.len(), 6);
+        assert!(alone.iter().all(|r| r.user_instrs == 10_000));
+        let sweep = |jobs: usize, policy: &HardenPolicy| {
+            let silent = Reporter::silent();
+            run_sweep_hardened(
+                &plan,
+                &tiny_exec(jobs),
+                policy,
+                BTreeMap::new(),
+                &silent,
+                &mut NopSink,
+                None,
+            )
+        };
+        for jobs in [1, 3, 8] {
+            let out = sweep(jobs, &policy);
+            let shared: Vec<PointResult> = out.results().cloned().collect();
+            assert_eq!(shared, alone, "{jobs} jobs");
+        }
+
+        // Corrupting point 1's records changes its own copy only: on one
+        // worker, the four points after it replay the shared records
+        // after the fault fired.
+        let chaos = HardenPolicy { chaos: ChaosPlan::parse("corrupt@1", 7).unwrap(), ..policy };
+        let out = sweep(1, &chaos);
+        assert_eq!(out.outcomes[1].error().expect("point 1 fails").kind, FailureKind::CorruptTrace);
+        for ix in [0, 2, 3, 4, 5] {
+            let r = out.outcomes[ix].completed().expect("survivor completes");
+            assert_eq!(r, &alone[ix]);
+            assert_eq!(r.vm_total.to_bits(), alone[ix].vm_total.to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_trace_table_decodes_once_and_forgets_failures() {
+        let dir = empty_library("table");
+        let library = vm_trace::TraceLibrary::new(&dir);
+        let missing = |r: Result<_, vm_trace::LibraryError>| {
+            matches!(r, Err(vm_trace::LibraryError::Missing { .. }))
+        };
+
+        // A failed load is not remembered: once the trace is installed,
+        // the same table loads it.
+        let table = TraceTable::default();
+        assert!(missing(table.load(&library, "captured")));
+        install_captured(&dir);
+
+        // Four points released at once share one decoded copy.
+        let barrier = std::sync::Barrier::new(4);
+        let loaded: Vec<_> = std::thread::scope(|s| {
+            let loads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        table.load(&library, "captured").unwrap()
+                    })
+                })
+                .collect();
+            loads.into_iter().map(|l| l.join().unwrap()).collect()
+        });
+        assert_eq!(loaded[0].len(), 12_000);
+        assert!(loaded.iter().all(|r| Arc::ptr_eq(r, &loaded[0])));
+
+        // The table keeps the records after the file goes; a fresh table
+        // has only the library to read.
+        std::fs::remove_file(library.path("captured")).unwrap();
+        let later = table.load(&library, "captured").unwrap();
+        assert!(Arc::ptr_eq(&later, &loaded[0]));
+        assert!(missing(TraceTable::default().load(&library, "captured")));
+
+        // A counted trace is dropped once its last point has finished.
+        install_captured(&dir);
+        let plan = captured_plan();
+        let counted = TraceTable::for_points(plan.points[..2].iter());
+        let held = counted.load(&library, "captured").unwrap();
+        std::fs::remove_file(library.path("captured")).unwrap();
+        counted.release(&plan.points[0]);
+        assert!(Arc::ptr_eq(&counted.load(&library, "captured").unwrap(), &held));
+        counted.release(&plan.points[1]);
+        assert!(missing(counted.load(&library, "captured")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -36,7 +36,7 @@ use vm_supervise::DEFAULT_HEARTBEAT_INTERVAL;
 use vm_supervise::{maybe_kill_for_test, worker_loop, PoolError, WorkerPool};
 
 use crate::exec::SweepPointOutcome;
-use crate::exec::{measure_point_isolated, point_error, ExecConfig, HardenPolicy};
+use crate::exec::{measure_point_isolated, point_error, ExecConfig, HardenPolicy, TraceTable};
 use crate::journal::{result_from_value, result_to_value};
 use crate::spec::SystemSpec;
 use crate::sweep::PlannedPoint;
@@ -183,7 +183,8 @@ pub fn handle_request(line: &str) -> String {
         }
     };
     maybe_kill_for_test(req.point.index as u64);
-    let (outcome, attempts) = measure_point_isolated(&req.point, &req.exec, &req.policy);
+    let (outcome, attempts) =
+        measure_point_isolated(&req.point, &req.exec, &req.policy, &TraceTable::default());
     JournalEntry::from_outcome(
         req.point.index as u64,
         &req.point.label,
@@ -359,7 +360,8 @@ mod tests {
         let entry = JournalEntry::parse_line(&reply).unwrap();
         assert!(entry.is_done());
         let got = result_from_value(entry.payload.as_ref().unwrap()).unwrap();
-        let (expect, _) = measure_point_isolated(&plan.points[0], &exec, &policy);
+        let (expect, _) =
+            measure_point_isolated(&plan.points[0], &exec, &policy, &TraceTable::default());
         assert_eq!(Some(&got), expect.completed());
         assert_eq!(got.vm_total.to_bits(), expect.completed().unwrap().vm_total.to_bits());
     }

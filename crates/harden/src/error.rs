@@ -43,9 +43,10 @@ pub enum FailureKind {
     /// gave up on it. Only reachable under `--isolation process`.
     Crash,
     /// An ingested (uploaded or library) trace could not back the point:
-    /// the library is unconfigured, the named trace is missing, or the
-    /// file fails to decode. Deterministic — the trace on disk is what
-    /// it is — so never retried.
+    /// the library is unconfigured, the named trace is missing, the
+    /// file fails to decode, or it holds fewer records than the run's
+    /// warm-up plus measured instructions. Deterministic — the trace on
+    /// disk is what it is — so never retried.
     Ingest,
     /// A result failed attestation: its payload does not match the
     /// lineage fingerprint it was signed with, or the fingerprint does

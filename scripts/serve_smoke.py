@@ -644,16 +644,18 @@ committed = read_bytes(os.path.join(ingest_state, "traces", "smoke.trace"))
 assert committed == trace_blob, "resumed upload drifted from the source trace"
 
 # The committed trace is a workload: status answers by name, and a
-# submit against trace:smoke runs clean.
+# submit against trace:smoke runs clean. The run fits inside the 30 000
+# records; a longer one fails its points as `ingest`.
 st = rpc(port, {"req": "upload-status", "name": "smoke"})
 assert st["state"] == "committed" and st["workload"] == "trace:smoke", st
 r = rpc(port, {"req": "submit",
                "spec": SPEC + '\n[workload]\nname = "trace:smoke"\n',
-               "sweep": ["tlb.entries=32,64"], "scale": "quick"})
+               "sweep": ["tlb.entries=32,64"], "warmup": 5000, "measure": 20000})
 assert r["ok"], r
 wait_done(port, r["job"])
 trace_job = rpc(port, {"req": "result", "job": r["job"]})
 assert trace_job["failures"] == [] and len(trace_job["results"]) == 2, trace_job
+assert all(p["user_instrs"] == 20000 for p in trace_job["results"]), trace_job
 
 # Leave an orphaned partial behind, then restart with a 1s TTL: the
 # startup sweep reclaims it without touching the committed trace.
