@@ -123,9 +123,20 @@ impl Cache {
     pub fn access_observed(&mut self, addr: MAddr) -> (bool, bool) {
         let line = self.line_of(addr);
         let set = (line & self.set_mask) as usize;
+        self.counters.accesses += 1;
+        if self.ways_per_set == 1 {
+            // Direct-mapped: one tag compare, nothing to reorder.
+            let tag = &mut self.ways[set];
+            if *tag == line {
+                self.counters.hits += 1;
+                return (true, false);
+            }
+            let evicted = *tag != EMPTY;
+            *tag = line;
+            return (false, evicted);
+        }
         let base = set * self.ways_per_set;
         let ways = &mut self.ways[base..base + self.ways_per_set];
-        self.counters.accesses += 1;
 
         match ways.iter().position(|&t| t == line) {
             Some(0) => {

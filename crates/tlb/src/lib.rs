@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vm_types::{SplitMix64, Vpn};
 
@@ -213,6 +214,37 @@ struct Slot {
     stamp: u64,
 }
 
+/// Hashes a [`Vpn`] with one multiply by a 64-bit odd constant (the
+/// golden ratio), rotated so that the table's bucket bits come from the
+/// well-mixed upper half of the product. A `Vpn` hashes as one `u64`, so
+/// the byte-wise `write` is only a fallback.
+///
+/// The hash is not keyed, so pages from an uploaded trace could be chosen
+/// to collide. The index never holds more than `entries` keys, so even a
+/// set of keys that all collide costs at most a scan of `entries` slots
+/// per probe: no worse than a linear search of the TLB.
+#[derive(Debug, Clone, Copy, Default)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
 /// A fully-associative TLB with an optional protected partition.
 ///
 /// Entries map a [`Vpn`] to "present" — the paper's simulator needs no
@@ -223,7 +255,8 @@ struct Slot {
 pub struct Tlb {
     config: TlbConfig,
     slots: Vec<Slot>,
-    index: HashMap<Vpn, usize>,
+    /// The slot of every resident page.
+    index: HashMap<Vpn, usize, BuildHasherDefault<VpnHasher>>,
     rng: SplitMix64,
     tick: u64,
     counters: TlbCounters,
@@ -236,7 +269,7 @@ impl Tlb {
         Tlb {
             config,
             slots: vec![Slot { vpn: None, stamp: 0 }; config.entries()],
-            index: HashMap::with_capacity(config.entries()),
+            index: HashMap::with_capacity_and_hasher(config.entries(), Default::default()),
             rng: SplitMix64::new(seed),
             tick: 0,
             counters: TlbCounters::default(),
@@ -275,6 +308,7 @@ impl Tlb {
 
     /// Translates `vpn`, updating counters and (for LRU) recency.
     /// Returns `true` on a hit.
+    #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
         self.counters.lookups += 1;
         if let Some(&slot) = self.index.get(&vpn) {
