@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use crate::{
-    experiments_cmd, explore_cmd, fleet_cmd, run_one, serve_bench_cmd, serve_cmd, serve_stats_cmd,
-    trace_export_cmd, upload_cmd, verify_cmd, watch_cmd,
+    experiments_cmd, explore_cmd, fleet_cmd, run_one, serve_cmd, serve_stats_cmd, trace_export_cmd,
+    trace_stats_cmd, upload_cmd, verify_cmd, watch_cmd,
 };
 use vm_experiments::{registry, RunScale, Verbosity};
 use vm_harden::ChaosPlan;
@@ -168,13 +168,6 @@ pub static VERBS: &[Verb] = &[
         run: serve_stats_cmd,
     },
     Verb {
-        name: "serve-bench",
-        args: "",
-        about: "measure in-process daemon and fleet throughput; prints BENCH_serve.json",
-        flags: &[&["--batch N  sweep jobs per daemon (default 8)"]],
-        run: serve_bench_cmd,
-    },
-    Verb {
         name: "watch",
         args: "--addr HOST:PORT [<job> | --all]",
         about: "render a daemon's live job telemetry; a JOB's stream ends with the job",
@@ -227,14 +220,28 @@ pub static VERBS: &[Verb] = &[
     Verb {
         name: "trace-export",
         args: "--out FILE",
-        about: "synthesize a workload's trace into the binary format repro upload ships",
+        about: "synthesize a workload's trace, or import a Dinero one, into the format repro upload ships",
         flags: &[&[
             "--out FILE  the trace file to write",
             "--workload W  gcc|vortex|ijpeg|li|compress|perl (default gcc)",
             "--seed N  workload seed (default 42)",
             "--instrs N  records to export (default 100000)",
+            "--dinero FILE  import this Dinero (din) trace instead of synthesizing one",
+            "--max-parse-errors N  skip up to N malformed din lines, each reported (default 0)",
         ]],
         run: trace_export_cmd,
+    },
+    Verb {
+        name: "trace-stats",
+        args: "[<file.trace> | --workload W]",
+        about: "measure a trace file or workload model, print a file's first records, or list the models",
+        flags: &[&[
+            "--workload W  measure this model instead of a file: gcc|vortex|ijpeg|li|compress|perl",
+            "--instrs N  the model's instructions to measure (default 1000000)",
+            "--seed N  the model's seed (default 42)",
+            "--head N  print the file's first N records instead of its statistics",
+        ]],
+        run: trace_stats_cmd,
     },
     Verb {
         name: "verify",
@@ -489,11 +496,11 @@ mod tests {
         ("explore", "--sweep= --retries= --point-budget= --journal= --out= --events= --jobs= --check --resume= --isolation= --quick --full --chaos= --chaos-seed= --verbosity= -q --quiet -v --verbose -h --help"),
         ("serve", "--addr= --port= --jobs= --workers= --queue= --degrade-depth= --state-dir= --resume --events= --io-timeout-ms= --max-request-bytes= --checkpoint-interval= --watch-buffer= --max-trace-bytes= --conn-upload-quota= --staging-watermark= --upload-ttl-secs= --retry-after-ms= --chaos= --chaos-seed= -h --help"),
         ("serve-stats", "-h --help"),
-        ("serve-bench", "--batch= -h --help"),
         ("watch", "--addr= --all --json -h --help"),
         ("fleet", "--spawn= --backend= --fleet-journal= --resume --hedge-ms= --evict-after= --evict-window-ms= --probation-ms= --keepalive-ms= --poll-ms= --audit-rate= --join-addr= --watch-addr= --sweep= --retries= --point-budget= --journal= --out= --events= --quick --full --verbosity= -q --quiet -v --verbose -h --help"),
         ("upload", "--addr= --name= --chunk-bytes= --max-retries= --chaos= -h --help"),
-        ("trace-export", "--out= --workload= --seed= --instrs= -h --help"),
+        ("trace-export", "--out= --workload= --seed= --instrs= --dinero= --max-parse-errors= -h --help"),
+        ("trace-stats", "--workload= --instrs= --seed= --head= -h --help"),
         ("verify", "--journal= --spec= -h --help"),
     ];
 
@@ -558,7 +565,9 @@ mod tests {
 
     #[test]
     fn only_verbs_with_arguments_take_words_that_are_not_flags() {
-        for (name, takes) in [("", true), ("run", false), ("serve", false), ("verify", true)] {
+        for (name, takes) in
+            [("", true), ("run", false), ("serve", false), ("verify", true), ("trace-stats", true)]
+        {
             assert_eq!(parse(name, &["x"]).is_ok(), takes, "{name}");
         }
         assert_eq!(args("watch", &["--all", "7"]).positional, ["7"]);

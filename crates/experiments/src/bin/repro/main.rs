@@ -10,7 +10,8 @@
 
 mod cli;
 
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,15 +28,15 @@ use vm_experiments::{
 use vm_experiments::{set_global_verbosity, Claim, Reporter, RunScale, Verbosity};
 use vm_explore::{Axis, ExecConfig, HardenPolicy, SystemSpec};
 use vm_fleet::{
-    fleet_plan, fleet_throughput, run_fleet, seed_fleet_resume, Backend, ControlChannel,
-    FleetOptions, FleetSession, WatchProxy,
+    fleet_plan, run_fleet, seed_fleet_resume, Backend, ControlChannel, FleetOptions, FleetSession,
+    WatchProxy,
 };
 use vm_harden::{Journal, JournalWriter, RetryPolicy};
 use vm_obs::json::Value;
 use vm_obs::JsonlSink;
-use vm_serve::{bench_json, throughput, EventReport, ServeConfig, Server, WatchHub};
+use vm_serve::{EventReport, ServeConfig, Server, WatchHub};
 use vm_supervise::{PoolConfig, WorkerCommand, WorkerPool};
-use vm_trace::presets;
+use vm_trace::{presets, read_trace, InstrRecord, TraceStats};
 
 /// Runs the entry point `argv` names; an error comes back as the line
 /// to print.
@@ -446,18 +447,38 @@ fn serve_stats_cmd(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `trace-export` verb: synthesize a workload trace into the
-/// compact binary format — the file `repro upload` ships to a daemon.
+/// The `trace-export` verb: write a trace in the compact binary format
+/// — the file `repro upload` ships to a daemon — synthesized from a
+/// workload model or imported from a Dinero trace.
 fn trace_export_cmd(a: &Args) -> Result<(), String> {
-    let spec = a.workload()?.unwrap_or_else(presets::gcc_spec);
-    let seed = a.num("--seed")?.unwrap_or(42);
-    let instrs: u64 = a.bound("--instrs")?.unwrap_or(100_000);
+    let dinero = a.path("--dinero");
+    let budget: Option<usize> = a.num("--max-parse-errors")?;
+    let spec = a.workload()?;
+    let seed: Option<u64> = a.num("--seed")?;
+    let instrs: Option<u64> = a.bound("--instrs")?;
     let out = a.path("--out").ok_or("needs --out FILE (try --help)")?;
-    let gen = spec.build(seed).map_err(|e| format!("cannot build `{}`: {e:?}", spec.name))?;
-    let file =
-        std::fs::File::create(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
+    let records: Box<dyn Iterator<Item = InstrRecord>> = match dinero {
+        Some(din) if spec.is_none() && seed.is_none() && instrs.is_none() => {
+            let (records, report) = import_dinero(&din, budget.unwrap_or(0))?;
+            eprintln!("{report}");
+            Box::new(records.into_iter())
+        }
+        Some(_) => {
+            return Err("--dinero imports a trace; --workload, --seed and --instrs synthesize one"
+                .to_owned())
+        }
+        None if budget.is_some() => return Err("--max-parse-errors needs --dinero".to_owned()),
+        None => {
+            let spec = spec.unwrap_or_else(presets::gcc_spec);
+            let gen = spec
+                .build(seed.unwrap_or(42))
+                .map_err(|e| format!("cannot build `{}`: {e:?}", spec.name))?;
+            Box::new(gen.take(instrs.unwrap_or(100_000) as usize))
+        }
+    };
+    let file = File::create(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let mut writer = std::io::BufWriter::new(file);
-    let records = vm_trace::write_trace(&mut writer, gen.take(instrs as usize))
+    let records = vm_trace::write_trace(&mut writer, records)
         .map_err(|e| format!("cannot write {}: {e:?}", out.display()))?;
     writer.flush().map_err(|e| format!("cannot flush {}: {e}", out.display()))?;
     let bytes =
@@ -470,6 +491,89 @@ fn trace_export_cmd(a: &Args) -> Result<(), String> {
         vm_serve::proto::hex64(vm_trace::wire::fnv1a(&bytes))
     );
     Ok(())
+}
+
+/// Reads a Dinero trace, skipping at most `budget` malformed lines. The
+/// records come back with the damage report for stderr: one line per
+/// skipped line, then `skipped K of N line(s)`, which a clean trace
+/// reports too (K = 0).
+fn import_dinero(path: &Path, budget: usize) -> Result<(Vec<InstrRecord>, String), String> {
+    let file = File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    let din = vm_trace::read_dinero_recovering(BufReader::new(file), budget)
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    let mut report: String = din.skipped.iter().map(|diag| format!("skipped {diag}\n")).collect();
+    report.push_str(&format!("{} in {}", din.summary(), path.display()));
+    Ok((din.records, report))
+}
+
+/// The `trace-stats` verb: the reference statistics of a trace file or
+/// of a workload model, a file's first records, or, given neither, the
+/// workload models and their footprints.
+fn trace_stats_cmd(a: &Args) -> Result<(), String> {
+    let head: Option<usize> = a.bound("--head")?;
+    let instrs: Option<usize> = a.bound("--instrs")?;
+    let seed: Option<u64> = a.num("--seed")?;
+    match (&a.positional[..], a.workload()?) {
+        ([], None) if head.is_none() && instrs.is_none() && seed.is_none() => {
+            println!("available workload models:");
+            for spec in presets::all_benchmarks() {
+                println!(
+                    "  {:9} code ~{:>5} KB  data ~{:>6} KB",
+                    spec.name,
+                    spec.code.approx_code_bytes() >> 10,
+                    spec.approx_data_bytes() >> 10
+                );
+            }
+        }
+        ([], Some(spec)) if head.is_none() => {
+            let (n, seed) = (instrs.unwrap_or(1_000_000), seed.unwrap_or(42));
+            let gen =
+                spec.build(seed).map_err(|e| format!("cannot build `{}`: {e:?}", spec.name))?;
+            let stats = TraceStats::analyze(gen.take(n));
+            print_stats(&format!("{} (model, {n} instrs, seed {seed})", spec.name), &stats);
+        }
+        ([path], None) if instrs.is_none() && seed.is_none() => {
+            let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+            let replay =
+                read_trace(BufReader::new(file)).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let Some(n) = head else {
+                let records: Result<Vec<_>, _> = replay.collect();
+                let records = records.map_err(|e| format!("corrupt trace: {e}"))?;
+                print_stats(path, &TraceStats::analyze(records));
+                return Ok(());
+            };
+            for record in replay.take(n) {
+                let r = record.map_err(|e| format!("corrupt record: {e}"))?;
+                match r.data {
+                    Some(d) => println!("{}  {} {}", r.pc, d.kind, d.addr),
+                    None => println!("{}", r.pc),
+                }
+            }
+        }
+        _ => {
+            return Err("give one trace file [--head N] or --workload W [--instrs N] [--seed N]; \
+                 given neither, it lists the workloads"
+                .to_owned())
+        }
+    }
+    Ok(())
+}
+
+/// Prints `trace-stats`'s statistics block under the heading `name`.
+fn print_stats(name: &str, stats: &TraceStats) {
+    println!("{name}:");
+    println!("  instructions      {:>12}", stats.instructions);
+    println!("  loads             {:>12}", stats.loads);
+    println!("  stores            {:>12}", stats.stores);
+    println!(
+        "  data refs/instr   {:>12.3}",
+        stats.data_refs() as f64 / stats.instructions.max(1) as f64
+    );
+    println!("  code pages        {:>12}", stats.code_pages);
+    println!("  data pages        {:>12}", stats.data_pages);
+    println!("  code footprint    {:>10} KB", stats.code_footprint_bytes() >> 10);
+    println!("  data footprint    {:>10} KB", stats.data_footprint_bytes() >> 10);
+    println!("  data block reuse  {:>12.2}", stats.data_block_reuse());
 }
 
 /// One chunk-granular fault for `repro upload --chaos`: the client
@@ -766,33 +870,6 @@ fn watch_cmd(a: &Args) -> Result<(), String> {
             _ => {}
         }
     }
-    Ok(())
-}
-
-/// The `serve-bench` verb: throughput baseline at 1 and 4 workers plus
-/// the 1/2/4-backend fleet scaling curve (the committed
-/// `BENCH_serve.json` body goes to stdout).
-fn serve_bench_cmd(a: &Args) -> Result<(), String> {
-    let batch = a.num("--batch")?.unwrap_or(8);
-    let mut points = Vec::new();
-    for workers in [1usize, 4] {
-        let p = throughput(workers, batch)?;
-        eprintln!(
-            "serve-bench: {} worker(s), {} jobs -> {:.2} jobs/s ({} ms)",
-            p.workers, p.jobs, p.jobs_per_sec, p.wall_ms
-        );
-        points.push(p);
-    }
-    let mut fleet_rows = Vec::new();
-    for backends in [1usize, 2, 4] {
-        let p = fleet_throughput(backends)?;
-        eprintln!(
-            "serve-bench: fleet of {}, {} points -> {:.2} points/s ({} ms)",
-            p.backends, p.points, p.points_per_sec, p.wall_ms
-        );
-        fleet_rows.push(p.to_value());
-    }
-    println!("{}", bench_json(&points, &fleet_rows));
     Ok(())
 }
 
@@ -1468,5 +1545,117 @@ mod tests {
         assert_eq!(paths, [PathBuf::from(&ultrix), PathBuf::from(&mach)]);
         let want = ["tlb.entries=64,32", "cache.l1=8K"].map(|axis| Axis::parse(axis).unwrap());
         assert_eq!(axes, want);
+    }
+
+    /// A fresh directory for one test's files.
+    fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("repro-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn path(p: &Path) -> &str {
+        p.to_str().expect("a UTF-8 path")
+    }
+
+    #[test]
+    fn trace_stats_refuses_an_instruction_count_that_is_not_a_number() {
+        let e = repro(&argv(&["trace-stats", "--workload", "gcc", "--instrs", "abc"]));
+        assert_eq!(
+            e.unwrap_err(),
+            "repro trace-stats: bad --instrs: invalid digit found in string"
+        );
+        assert!(repro(&argv(&["trace-stats", "--workload", "gcc", "--instrs", "1000"])).is_ok());
+    }
+
+    #[test]
+    fn trace_stats_refuses_a_head_count_that_is_not_a_number() {
+        let e = repro(&argv(&["trace-stats", "t.trace", "--head", "abc"]));
+        assert_eq!(e.unwrap_err(), "repro trace-stats: bad --head: invalid digit found in string");
+    }
+
+    #[test]
+    fn trace_export_refuses_stray_words_before_writing_anything() {
+        let dir = test_dir("stray");
+        let out = dir.join("out");
+        let words = ["trace-export", "--workload", "gcc", "--instrs", "10", "--out", path(&out)];
+        let e = repro(&argv(&[&words[..], &["stray", "--bogus"]].concat())).unwrap_err();
+        assert_eq!(e, "repro trace-export: unknown flag `stray` (try `repro trace-export --help`)");
+        assert!(!out.exists());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn trace_stats_reads_a_word_after_the_verb_as_a_file() {
+        // `repro trace-stats` alone lists the models; a word after it
+        // is a trace file, never ignored.
+        assert!(repro(&argv(&["trace-stats"])).is_ok());
+        let e = repro(&argv(&["trace-stats", "bogus"])).unwrap_err();
+        assert!(e.starts_with("repro trace-stats: cannot open bogus: "), "{e}");
+        for words in [&["--seed", "1"][..], &["--head", "5"], &["x.trace", "y.trace"]] {
+            let e = repro(&argv(&[&["trace-stats"], words].concat())).unwrap_err();
+            assert!(e.starts_with("repro trace-stats: give one trace file "), "{e}");
+        }
+    }
+
+    #[test]
+    fn only_workload_names_a_preset() {
+        // No file called `gcc` exists here: a bare `gcc` is that file.
+        let e = repro(&argv(&["trace-stats", "gcc"])).unwrap_err();
+        assert!(e.starts_with("repro trace-stats: cannot open gcc: "), "{e}");
+        // A file called `gcc` is read as a trace, not as the model.
+        let dir = test_dir("preset");
+        let gcc = dir.join("gcc");
+        std::fs::write(&gcc, "not a trace").unwrap();
+        let e = repro(&argv(&["trace-stats", path(&gcc)])).unwrap_err();
+        assert!(e.contains("cannot read") && e.contains("not a trace stream"), "{e}");
+        let e = repro(&argv(&["trace-stats", path(&gcc), "--workload", "gcc"])).unwrap_err();
+        assert!(e.starts_with("repro trace-stats: give one trace file "), "{e}");
+        // The exported model reads back, statistics and records.
+        let words = ["trace-export", "--instrs", "1000", "--seed", "7", "--out", path(&gcc)];
+        repro(&argv(&words)).unwrap();
+        assert!(repro(&argv(&["trace-stats", path(&gcc)])).is_ok());
+        assert!(repro(&argv(&["trace-stats", path(&gcc), "--head", "3"])).is_ok());
+        let e = repro(&argv(&["trace-stats", path(&gcc), "--seed", "7"])).unwrap_err();
+        assert!(e.starts_with("repro trace-stats: give one trace file "), "{e}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_dinero_import_writes_the_strict_readers_records_and_reports_its_damage() {
+        let dir = test_dir("dinero");
+        let (clean, damaged, out) = (dir.join("clean.din"), dir.join("bad.din"), dir.join("t"));
+        std::fs::write(&clean, "2 400000\n0 10000000\n2 400004\n1 10000008\n").unwrap();
+        std::fs::write(&damaged, "2 400000\n0 10000000\n2 400004\nbanner line\n1 10000008\n")
+            .unwrap();
+        // A clean import reports its (empty) damage too.
+        let (_, report) = import_dinero(&clean, 0).unwrap();
+        assert_eq!(report, format!("skipped 0 of 4 line(s) in {}", clean.display()));
+        repro(&argv(&["trace-export", "--dinero", path(&clean), "--out", path(&out)])).unwrap();
+        let strict = vm_trace::read_dinero(std::fs::read(&clean).unwrap().as_slice()).unwrap();
+        let mut want = Vec::new();
+        vm_trace::write_trace(&mut want, strict).unwrap();
+        assert_eq!(std::fs::read(&out).unwrap(), want);
+        // A budget of 0 fails on the first bad line and names it.
+        let e = import_dinero(&damaged, 0).unwrap_err();
+        assert!(e.contains("din line 4: bad hex address: `banner line`"), "{e}");
+        let words = ["trace-export", "--dinero", path(&damaged), "--out", path(&out)];
+        assert!(repro(&argv(&words)).unwrap_err().contains("din line 4: "));
+        // A budget of 1 skips it and says so.
+        let (records, report) = import_dinero(&damaged, 1).unwrap();
+        assert_eq!(records.len(), 2);
+        let summary = format!("skipped 1 of 5 line(s) in {}", damaged.display());
+        let skipped = "skipped din line 4: bad hex address: `banner line`";
+        assert_eq!(report, format!("{skipped}\n{summary}"));
+        // One source per export.
+        for extra in [&["--workload", "gcc"][..], &["--seed", "1"], &["--instrs", "9"]] {
+            let e = repro(&argv(&[&words[..], extra].concat())).unwrap_err();
+            assert!(e.starts_with("repro trace-export: --dinero imports a trace"), "{e}");
+        }
+        let words = ["trace-export", "--max-parse-errors", "1", "--out", path(&out)];
+        let e = repro(&argv(&words)).unwrap_err();
+        assert_eq!(e, "repro trace-export: --max-parse-errors needs --dinero");
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -33,14 +33,14 @@
 //! * [`watch`] — fan-in of every backend's `watch` stream into one
 //!   [`vm_serve::WatchHub`], plus a tiny proxy listener so `repro
 //!   watch` points at a fleet exactly like it points at a daemon.
-//! * [`mod@bench`] — the 1/2/4-backend scaling curve committed in
-//!   `BENCH_serve.json`.
+//!
+//! Throughput is measured outside the crate, by the repository
+//! benchmark's `fleet-sweep` workload (`perfbench/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod bench;
 pub mod coordinator;
 pub mod membership;
 pub mod merge;
@@ -50,7 +50,6 @@ pub mod shard;
 pub mod watch;
 
 pub use backend::{Backend, Breaker, EvictPolicy, ShutdownOutcome};
-pub use bench::{fleet_throughput, FleetBenchPoint};
 pub use coordinator::{run_fleet, FleetOptions, FleetOutcome, FleetSession, SlotReport};
 pub use membership::{ControlChannel, ControlCmd, Slot, SlotState};
 pub use merge::{merge, rebind_payload, MergeSet, MergedRun, Offer};

@@ -31,14 +31,14 @@
 //! The crate splits along those lines: [`proto`] (wire format),
 //! [`job`] (the persisted unit of work), [`server`] (listener, workers,
 //! drain), [`ingest`] (chunked trace uploads: checksums, quotas,
-//! crash-safe staging), [`client`] (a minimal test/bench client),
-//! [`report`] (the `serve-stats` telemetry report), and [`mod@bench`]
-//! (the throughput baseline behind `BENCH_serve.json`).
+//! crash-safe staging), [`client`] (a minimal client for tests and
+//! tools), and [`report`] (the `serve-stats` telemetry report).
+//! Throughput is measured outside the crate, by the repository
+//! benchmark's `serve-closed` workload (`perfbench/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod client;
 pub mod dashboard;
 pub mod ingest;
@@ -48,7 +48,6 @@ pub mod report;
 pub mod server;
 pub mod watch;
 
-pub use bench::{bench_json, throughput, BenchPoint};
 pub use client::Client;
 pub use dashboard::Dashboard;
 pub use ingest::{ConnQuota, Ingest, IngestSettings};
