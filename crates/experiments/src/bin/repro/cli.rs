@@ -146,15 +146,11 @@ pub static VERBS: &[Verb] = &[
                 "--state-dir DIR  persist job specs and journals here",
                 "--resume  reload the jobs persisted in --state-dir",
                 "--events FILE  append lifecycle events as JSONL for serve-stats",
-                "--io-timeout-ms N  per-connection read and write timeout (default 10000)",
                 "--max-request-bytes N  longest request line accepted (default 1048576)",
-                "--checkpoint-interval N  instructions per live progress frame (default 100000)",
-                "--watch-buffer N  frames queued per watcher before it is dropped (default 256)",
                 "--max-trace-bytes SIZE  largest trace an upload may declare (default 64M)",
                 "--conn-upload-quota SIZE  upload bytes one connection may declare (default 256M)",
                 "--staging-watermark SIZE  staged bytes past which uploads get 429 (default 256M)",
                 "--upload-ttl-secs N  delete partial uploads idle this long (default 3600)",
-                "--retry-after-ms N  the retry hint a 429 carries (default 500)",
             ],
             CHAOS,
         ],
@@ -188,12 +184,8 @@ pub static VERBS: &[Verb] = &[
                 "--backend HOST:PORT  dispatch to a running daemon (repeatable; mixes with --spawn)",
                 "--fleet-journal FILE  append the coordinator's own crash-resume journal",
                 "--resume  seed finished points from --fleet-journal and dispatch the rest",
-                "--hedge-ms N  hedge points in flight past N ms on idle backends (0 off; default 2000)",
-                "--evict-after N  failures inside the window that evict a backend (default 3)",
-                "--evict-window-ms N  the sliding eviction window (default 60000)",
+                "--evict-after N  evict a backend past N failures inside a minute (default 3)",
                 "--probation-ms N  wait before re-probing an evicted backend (0 never; default 5000)",
-                "--keepalive-ms N  idle health-probe interval (0 off; default 1000)",
-                "--poll-ms N  job status poll interval (default 5)",
                 "--audit-rate P  re-run this fraction of points on a second backend (default 0)",
                 "--join-addr HOST:PORT  take join/leave/roster control verbs here; prints the address",
                 "--watch-addr HOST:PORT  serve live telemetry to repro watch here; prints the address",
@@ -212,8 +204,6 @@ pub static VERBS: &[Verb] = &[
             "--addr HOST:PORT  the daemon",
             "--name NAME  the library name; jobs replay the trace as workload trace:NAME",
             "--chunk-bytes SIZE  raw bytes per chunk, within --max-request-bytes as base64 (default 256K)",
-            "--max-retries N  give up after this many retryable faults (default 30)",
-            "--chaos fault@seq,...  corrupt@N, truncate@N or stall@N: one client fault each, then heal",
         ]],
         run: upload_cmd,
     },
@@ -494,11 +484,11 @@ mod tests {
         ("", "--quick --full --threads= --out= --strict --workload= --events= --chrome-trace= --verbosity= -q --quiet -v --verbose -h --help"),
         ("run", "--system= --workload= --l1= --l1-line= --l2= --l2-line= --tlb-entries= --unified --instrs= --seed= --events= --chrome-trace= --verbosity= -q --quiet -v --verbose -h --help"),
         ("explore", "--sweep= --retries= --point-budget= --journal= --out= --events= --jobs= --check --resume= --isolation= --quick --full --chaos= --chaos-seed= --verbosity= -q --quiet -v --verbose -h --help"),
-        ("serve", "--addr= --port= --jobs= --workers= --queue= --degrade-depth= --state-dir= --resume --events= --io-timeout-ms= --max-request-bytes= --checkpoint-interval= --watch-buffer= --max-trace-bytes= --conn-upload-quota= --staging-watermark= --upload-ttl-secs= --retry-after-ms= --chaos= --chaos-seed= -h --help"),
+        ("serve", "--addr= --port= --jobs= --workers= --queue= --degrade-depth= --state-dir= --resume --events= --max-request-bytes= --max-trace-bytes= --conn-upload-quota= --staging-watermark= --upload-ttl-secs= --chaos= --chaos-seed= -h --help"),
         ("serve-stats", "-h --help"),
         ("watch", "--addr= --all --json -h --help"),
-        ("fleet", "--spawn= --backend= --fleet-journal= --resume --hedge-ms= --evict-after= --evict-window-ms= --probation-ms= --keepalive-ms= --poll-ms= --audit-rate= --join-addr= --watch-addr= --sweep= --retries= --point-budget= --journal= --out= --events= --quick --full --verbosity= -q --quiet -v --verbose -h --help"),
-        ("upload", "--addr= --name= --chunk-bytes= --max-retries= --chaos= -h --help"),
+        ("fleet", "--spawn= --backend= --fleet-journal= --resume --evict-after= --probation-ms= --audit-rate= --join-addr= --watch-addr= --sweep= --retries= --point-budget= --journal= --out= --events= --quick --full --verbosity= -q --quiet -v --verbose -h --help"),
+        ("upload", "--addr= --name= --chunk-bytes= -h --help"),
         ("trace-export", "--out= --workload= --seed= --instrs= --dinero= --max-parse-errors= -h --help"),
         ("trace-stats", "--workload= --instrs= --seed= --head= -h --help"),
         ("verify", "--journal= --spec= -h --help"),
@@ -561,6 +551,50 @@ mod tests {
             let title = verb.title();
             assert_eq!(e, format!("unknown flag `--quiet-please` (try `{title} --help`)"));
         }
+    }
+
+    #[test]
+    fn flags_nothing_set_are_refused_as_unknown() {
+        for (name, flag) in [
+            ("fleet", "--poll-ms"),
+            ("fleet", "--keepalive-ms"),
+            ("fleet", "--evict-window-ms"),
+            ("fleet", "--hedge-ms"),
+            ("serve", "--retry-after-ms"),
+            ("serve", "--watch-buffer"),
+            ("serve", "--checkpoint-interval"),
+            ("serve", "--io-timeout-ms"),
+            ("upload", "--max-retries"),
+            ("upload", "--chaos"),
+        ] {
+            let title = verb(name).title();
+            let e = parse(name, &[flag, "1"]).err();
+            assert_eq!(e, Some(format!("unknown flag `{flag}` (try `{title} --help`)")));
+        }
+    }
+
+    #[test]
+    fn the_fleet_docs_flag_table_names_exactly_the_flags_fleet_takes() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/fleet.md");
+        let doc = std::fs::read_to_string(&path).expect("docs/fleet.md");
+        let table = doc.split("## Flag reference").nth(1).expect("a flag reference section");
+        // A row's first cell ends at its first "` |"; every backticked
+        // span in it that starts with `-` is one spelling.
+        let mut documented: Vec<String> = table
+            .lines()
+            .filter(|line| line.starts_with("| `-"))
+            .flat_map(|row| {
+                let cell = &row[..row.find("` |").expect("a first cell")];
+                cell.split('`').skip(1).step_by(2).map(|span| span.split(' ').next().unwrap())
+            })
+            .map(str::to_owned)
+            .collect();
+        documented.sort();
+        documented.dedup();
+        let mut listed: Vec<String> =
+            listed(&verb("fleet").help()).into_iter().map(|(flag, _)| flag).collect();
+        listed.dedup();
+        assert_eq!(documented, listed);
     }
 
     #[test]

@@ -379,17 +379,13 @@ fn serve_config(a: &Args) -> Result<ServeConfig, String> {
     c.state_dir = a.path("--state-dir");
     c.resume = a.has("--resume");
     c.events = a.path("--events");
-    c.io_timeout = a.num("--io-timeout-ms")?.map_or(c.io_timeout, Duration::from_millis);
     c.max_request_bytes = a.bound("--max-request-bytes")?.unwrap_or(c.max_request_bytes);
-    c.checkpoint_interval = a.num("--checkpoint-interval")?.unwrap_or(c.checkpoint_interval);
-    c.watch_buffer = a.bound("--watch-buffer")?.unwrap_or(c.watch_buffer);
     let ingest = &mut c.ingest;
     ingest.max_trace_bytes = a.size("--max-trace-bytes")?.unwrap_or(ingest.max_trace_bytes);
     ingest.max_conn_bytes = a.size("--conn-upload-quota")?.unwrap_or(ingest.max_conn_bytes);
     ingest.staging_watermark = a.size("--staging-watermark")?.unwrap_or(ingest.staging_watermark);
     ingest.partial_ttl =
         a.num("--upload-ttl-secs")?.map_or(ingest.partial_ttl, Duration::from_secs);
-    ingest.retry_after_ms = a.num("--retry-after-ms")?.unwrap_or(ingest.retry_after_ms);
     // Serve-side chaos applies to every job's sweep: a fault that kills
     // the host process needs worker subprocesses to absorb it.
     c.chaos = a.chaos(c.worker_processes > 0)?;
@@ -576,60 +572,27 @@ fn print_stats(name: &str, stats: &TraceStats) {
     println!("  data block reuse  {:>12.2}", stats.data_block_reuse());
 }
 
-/// One chunk-granular fault for `repro upload --chaos`: the client
-/// corrupts, truncates (drops the connection), or stalls exactly once
-/// at the given sequence number, then heals — exercising the server's
-/// checksum rejection and resume paths end to end.
-struct UploadFault {
-    kind: String,
-    seq: u64,
-    spent: bool,
-}
-
-fn parse_upload_chaos(spec: &str) -> Result<Vec<UploadFault>, String> {
-    spec.split(',')
-        .map(|part| {
-            let part = part.trim();
-            let (kind, seq) = part
-                .split_once('@')
-                .ok_or_else(|| format!("bad upload chaos `{part}` (want fault@seq)"))?;
-            let kind = kind.trim();
-            if !matches!(kind, "corrupt" | "truncate" | "stall") {
-                return Err(format!("bad upload chaos fault `{kind}` (corrupt|truncate|stall)"));
-            }
-            let seq = seq.trim().parse().map_err(|e| format!("bad chaos seq in `{part}`: {e}"))?;
-            Ok(UploadFault { kind: kind.to_owned(), seq, spent: false })
-        })
-        .collect()
-}
-
 /// The `upload` verb: stream a binary trace into a daemon's library
 /// over the chunked upload protocol — checksummed, quota- and
-/// backpressure-aware, and resumable across connection loss, daemon
-/// restarts, and its own `--chaos` faults.
+/// backpressure-aware, and resumable across connection loss and daemon
+/// restarts.
 fn upload_cmd(a: &Args) -> Result<(), String> {
     let chunk_bytes: usize = a.size("--chunk-bytes")?.unwrap_or(256 << 10);
-    let mut chaos = a.get("--chaos", parse_upload_chaos)?.unwrap_or_default();
-    let max_retries = a.num("--max-retries")?.unwrap_or(30);
     let addr = a.value("--addr").ok_or("needs --addr HOST:PORT (try --help)")?;
     let name = a.value("--name").ok_or("needs --name NAME (try --help)")?;
     let file = a.positional.last().ok_or("needs a trace file (see `repro trace-export`)")?;
     let bytes = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    upload_trace(addr, name, &bytes, chunk_bytes, &mut chaos, max_retries)
+    upload_trace(addr, name, &bytes, chunk_bytes)
 }
+
+/// Retryable faults one upload survives before giving up.
+const UPLOAD_RETRIES: u32 = 30;
 
 /// The upload state machine: sync via `upload-status`, open or resume
 /// via `upload-begin`, stream chunks, commit. Any transport loss or
-/// sequence drift re-enters the sync step; `max_retries` bounds the
+/// sequence drift re-enters the sync step; `UPLOAD_RETRIES` bounds the
 /// total number of retryable faults before giving up.
-fn upload_trace(
-    addr: &str,
-    name: &str,
-    bytes: &[u8],
-    chunk_bytes: usize,
-    chaos: &mut [UploadFault],
-    max_retries: u32,
-) -> Result<(), String> {
+fn upload_trace(addr: &str, name: &str, bytes: &[u8], chunk_bytes: usize) -> Result<(), String> {
     use vm_serve::proto::hex64;
     use vm_trace::wire::{b64_encode, fnv1a};
     let reporter = Reporter::global();
@@ -638,8 +601,8 @@ fn upload_trace(
     let mut retries = 0u32;
     let mut spend_retry = |what: &str| -> Result<(), String> {
         retries += 1;
-        if retries > max_retries {
-            return Err(format!("giving up after {max_retries} retryable fault(s): {what}"));
+        if retries > UPLOAD_RETRIES {
+            return Err(format!("giving up after {UPLOAD_RETRIES} retryable fault(s): {what}"));
         }
         Ok(())
     };
@@ -708,43 +671,13 @@ fn upload_trace(
         while offset < bytes.len() {
             let end = (offset + chunk_bytes).min(bytes.len());
             let chunk = &bytes[offset..end];
-            let mut body = chunk.to_vec();
-            let mut drop_connection = false;
-            for fault in chaos.iter_mut().filter(|f| !f.spent && f.seq == seq) {
-                fault.spent = true;
-                match fault.kind.as_str() {
-                    "corrupt" => {
-                        // Checksum is computed over the true bytes, so
-                        // the daemon must detect the flipped body.
-                        body[0] ^= 0x01;
-                        reporter.progress(format!("chaos: corrupting chunk {seq}"));
-                    }
-                    "stall" => {
-                        reporter.progress(format!("chaos: stalling before chunk {seq}"));
-                        std::thread::sleep(std::time::Duration::from_millis(100));
-                    }
-                    _ => {
-                        reporter.progress(format!("chaos: dropping connection after chunk {seq}"));
-                        drop_connection = true;
-                    }
-                }
-            }
             let req = Value::obj([
                 ("req", "upload-chunk".into()),
                 ("upload", id.into()),
                 ("seq", seq.into()),
                 ("fnv", hex64(fnv1a(chunk)).into()),
-                ("data", b64_encode(&body).into()),
+                ("data", b64_encode(chunk).into()),
             ]);
-            if drop_connection {
-                // Send without reading the reply, then sever — the
-                // daemon may or may not have staged the chunk; resync
-                // via upload-status decides.
-                let _ = client.send(&req);
-                spend_retry("chaos truncate")?;
-                client = connect()?;
-                continue 'sync;
-            }
             let resp = match client.request(&req) {
                 Ok(v) => v,
                 Err(e) => {
@@ -882,13 +815,8 @@ fn fleet_cmd(a: &Args) -> Result<(), String> {
     let spawn: usize = a.num("--spawn")?.unwrap_or(0);
     let mut opts = FleetOptions::default();
     let off_if_zero = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
-    opts.hedge_after = a.num("--hedge-ms")?.map_or(opts.hedge_after, off_if_zero);
     opts.probation = a.num("--probation-ms")?.map_or(opts.probation, off_if_zero);
-    opts.keepalive = a.num("--keepalive-ms")?.map_or(opts.keepalive, off_if_zero);
     opts.evict.max_failures = a.num("--evict-after")?.unwrap_or(opts.evict.max_failures);
-    opts.evict.window =
-        a.num("--evict-window-ms")?.map_or(opts.evict.window, Duration::from_millis);
-    opts.poll = a.num("--poll-ms")?.map_or(opts.poll, Duration::from_millis);
     opts.retries = a.num("--retries")?.unwrap_or(opts.retries);
     opts.point_budget = a.num("--point-budget")?;
     let rate = |v: &str| match v.parse::<f64>() {
@@ -1505,7 +1433,7 @@ mod tests {
 
     #[test]
     fn limits_that_would_refuse_all_work_are_refused_at_start_up() {
-        for flag in ["--queue", "--max-request-bytes", "--watch-buffer"] {
+        for flag in ["--queue", "--max-request-bytes"] {
             let e = serve_config(&parse("serve", &[flag, "0"])).err().unwrap();
             assert_eq!(e, format!("bad {flag}: must be positive, not 0"));
         }

@@ -29,26 +29,23 @@
 //! carries a valid attestation) is handled above this layer by
 //! divergence detection and audit sampling (docs/robustness.md).
 
+use vm_trace::wire::Fnv1a;
+
 use crate::exec::{ExecConfig, PointResult};
 use crate::sweep::PlannedPoint;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// An incremental FNV-1a hasher with explicit field separators, so
-/// adjacent fields cannot alias (`"ab","c"` vs `"a","bc"`).
+/// [`Fnv1a`] with explicit `0xff` field separators, so adjacent fields
+/// cannot alias (`"ab","c"` vs `"a","bc"`); integers hash big-endian.
 #[derive(Debug, Clone)]
-struct Fnv(u64);
+struct Fnv(Fnv1a);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
+        Fnv(Fnv1a::new())
     }
 
     fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0.update(bytes);
         self
     }
 
@@ -61,12 +58,11 @@ impl Fnv {
     }
 
     fn sep(&mut self) -> &mut Fnv {
-        self.0 = (self.0 ^ 0xff).wrapping_mul(FNV_PRIME);
-        self
+        self.bytes(&[0xff])
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.0.digest()
     }
 }
 
@@ -258,6 +254,27 @@ mod tests {
         assert_ne!(base, point_context("[mmu]\n", "L", 2, 100, 200));
         assert_ne!(base, point_context("[mmu]\n", "L", 1, 101, 200));
         assert_ne!(base, point_context("[mmu]\n", "L", 1, 100, 201));
+    }
+
+    #[test]
+    fn context_and_attestation_bytes_are_pinned() {
+        // Big-endian integers, a 0xff after every field: these are the
+        // values every payload and journal already signed carries, so
+        // they must still verify.
+        let ctx = point_context(
+            "[mmu]\nkind = \"ultrix\"\n",
+            "ULTRIX tlb.entries=64",
+            42,
+            200_000,
+            500_000,
+        );
+        assert_eq!(ctx, 0x2530_4a6f_90f7_318f);
+        let mut r = sealed_sample();
+        seal(&mut r, ctx);
+        assert_eq!(r.att, 0x2769_cbb8_ac89_b179);
+        r.tlb_miss_ratio = None;
+        seal(&mut r, ctx);
+        assert_eq!(r.att, 0xc1e3_582c_168e_589c);
     }
 
     #[test]

@@ -14,32 +14,20 @@ use std::collections::BTreeMap;
 
 use vm_harden::{fingerprint, Journal, RunHeader, JOURNAL_VERSION};
 use vm_obs::json::Value;
+use vm_trace::wire::{hex64, parse_hex64};
 
 use crate::exec::{ExecConfig, PointResult};
 use crate::sweep::SweepPlan;
 
-/// Parses the canonical hex64 rendering: exactly 16 lowercase hex
-/// digits, nothing else. Encoders only ever emit this form, so the
-/// strictness costs nothing — and it means a journal byte is either
-/// canonical or rejected, never silently normalized (uppercase or
-/// whitespace surviving a round-trip would break byte-identity and
-/// would let two renderings of one value carry one attestation).
-pub(crate) fn hex64_strict(s: &str) -> Option<u64> {
-    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)) {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
 /// Encodes an `f64` as the hex string of its bit pattern, so decoding
 /// reproduces the exact bits (a decimal rendering may not).
 fn f64_bits(f: f64) -> Value {
-    Value::Str(format!("{:016x}", f.to_bits()))
+    Value::Str(hex64(f.to_bits()))
 }
 
 /// Decodes [`f64_bits`].
 fn f64_from_bits(v: &Value) -> Option<f64> {
-    hex64_strict(v.as_str()?).map(f64::from_bits)
+    parse_hex64(v.as_str()?).map(f64::from_bits)
 }
 
 /// Serializes a point result for a journal `payload`.
@@ -62,8 +50,8 @@ pub fn result_to_value(r: &PointResult) -> Value {
         ("tlb_area_bytes", r.tlb_area_bytes.into()),
         ("tlb_miss_ratio", r.tlb_miss_ratio.map_or(Value::Null, f64_bits)),
         ("user_instrs", r.user_instrs.into()),
-        ("ctx", Value::Str(format!("{:016x}", r.ctx))),
-        ("att", Value::Str(format!("{:016x}", r.att))),
+        ("ctx", Value::Str(hex64(r.ctx))),
+        ("att", Value::Str(hex64(r.att))),
     ])
 }
 
@@ -91,7 +79,7 @@ pub fn result_from_value(v: &Value) -> Result<PointResult, String> {
     let hex = |k: &str| {
         need(k).and_then(|f| {
             f.as_str()
-                .and_then(hex64_strict)
+                .and_then(parse_hex64)
                 .ok_or_else(|| format!("payload field `{k}` not a canonical hex64 string"))
         })
     };

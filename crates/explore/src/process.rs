@@ -34,6 +34,7 @@ use vm_harden::{ChaosPlan, FailureKind, JournalEntry, PointOutcome, RetryPolicy}
 use vm_obs::json::{self, Value};
 use vm_supervise::DEFAULT_HEARTBEAT_INTERVAL;
 use vm_supervise::{maybe_kill_for_test, worker_loop, PoolError, WorkerPool};
+use vm_trace::wire::{hex64, parse_hex64};
 
 use crate::exec::SweepPointOutcome;
 use crate::exec::{measure_point_isolated, point_error, ExecConfig, HardenPolicy, TraceTable};
@@ -44,13 +45,13 @@ use crate::sweep::PlannedPoint;
 /// Encodes an arbitrary `u64` (seeds) as a 16-hex-digit string; a JSON
 /// number is an `f64` and would drop bits past 2^53.
 fn u64_hex(v: u64) -> Value {
-    Value::Str(format!("{v:016x}"))
+    Value::Str(hex64(v))
 }
 
 /// Decodes [`u64_hex`] (canonical lowercase hex64 only — the encoder
 /// never emits anything else, so anything else is corruption).
 fn u64_from_hex(v: &Value) -> Option<u64> {
-    crate::journal::hex64_strict(v.as_str()?)
+    parse_hex64(v.as_str()?)
 }
 
 /// Serializes one sweep point plus everything its measurement depends

@@ -7,14 +7,13 @@
 //! an address the NDJSON protocol answers on; the only difference is
 //! that spawned children are drained and reaped at shutdown.
 //!
-//! Eviction reuses the supervise crash-loop breaker semantics: a
-//! backend that accumulates more than `max_failures` transport or job
-//! failures inside a sliding `window` is removed from rotation and its
-//! in-flight points return to the pending pool. The default budget
-//! matches `vm_supervise`'s `BreakerConfig` (3 failures / 60 s) so one
-//! mental model covers both layers.
+//! Eviction counts with the same [`vm_harden::Breaker`] as the worker
+//! pool's crash-loop breaker: a backend that accumulates more than
+//! `max_failures` transport or job failures inside a sliding `window`
+//! is removed from rotation and its in-flight points return to the
+//! pending pool. The default budget is the same too (3 failures / 60 s),
+//! so one mental model covers both layers.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -27,59 +26,6 @@ use vm_serve::Client;
 
 /// The address line every daemon prints first on stdout.
 const LISTENING_PREFIX: &str = "vm-serve listening on ";
-
-/// When to evict a backend: strictly more than `max_failures` failures
-/// inside a sliding `window`, mirroring the supervise crash-loop
-/// breaker (`BreakerConfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictPolicy {
-    /// Failures tolerated inside the window before eviction.
-    pub max_failures: u32,
-    /// Sliding window the failures must fall inside.
-    pub window: Duration,
-}
-
-impl Default for EvictPolicy {
-    fn default() -> EvictPolicy {
-        // Same budget as vm_supervise::BreakerConfig: the fourth
-        // failure inside a minute evicts.
-        EvictPolicy { max_failures: 3, window: Duration::from_secs(60) }
-    }
-}
-
-/// A sliding-window failure counter with the supervise breaker's trip
-/// rule. Time is passed in, not sampled, so tests never sleep.
-#[derive(Debug)]
-pub struct Breaker {
-    policy: EvictPolicy,
-    window: VecDeque<Instant>,
-}
-
-impl Breaker {
-    /// A closed breaker under `policy`.
-    pub fn new(policy: EvictPolicy) -> Breaker {
-        Breaker { policy, window: VecDeque::new() }
-    }
-
-    /// Records one failure at `now`; returns `true` when the breaker
-    /// trips (the failure count inside the window exceeds the budget).
-    pub fn record(&mut self, now: Instant) -> bool {
-        self.window.push_back(now);
-        while let Some(&front) = self.window.front() {
-            if now.duration_since(front) > self.policy.window {
-                self.window.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.window.len() as u32 > self.policy.max_failures
-    }
-
-    /// Failures currently inside the window.
-    pub fn failures(&self) -> u32 {
-        self.window.len() as u32
-    }
-}
 
 /// How a backend's teardown went: whether the daemon acknowledged the
 /// `drain` verb, whether it exited cleanly inside the deadline, and
@@ -257,29 +203,6 @@ impl Drop for Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breaker_trips_past_the_budget_inside_the_window() {
-        let mut b = Breaker::new(EvictPolicy { max_failures: 3, window: Duration::from_secs(60) });
-        let t0 = Instant::now();
-        assert!(!b.record(t0));
-        assert!(!b.record(t0));
-        assert!(!b.record(t0));
-        assert!(b.record(t0), "fourth failure inside the window trips");
-        assert_eq!(b.failures(), 4);
-    }
-
-    #[test]
-    fn old_failures_age_out_of_the_window() {
-        let mut b = Breaker::new(EvictPolicy { max_failures: 1, window: Duration::from_secs(60) });
-        let t0 = Instant::now();
-        assert!(!b.record(t0));
-        // Two minutes later the first failure no longer counts.
-        let late = t0 + Duration::from_secs(120);
-        assert!(!b.record(late));
-        assert_eq!(b.failures(), 1);
-        assert!(b.record(late), "second failure inside the fresh window trips");
-    }
 
     #[test]
     fn probing_a_dead_address_fails_transiently() {

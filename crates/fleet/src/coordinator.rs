@@ -26,10 +26,11 @@
 //!
 //! Three elasticity layers sit on top of that core:
 //!
-//! * **Dynamic membership** ([`crate::membership`]): the pump loop
-//!   polls an optional control channel; `join` appends a roster slot
-//!   whose driver steals from the *pending* pool only (completed points
-//!   are never reassigned), `leave` requeues a slot's in-flight points
+//! * **Dynamic membership** ([`crate::membership`]): an optional
+//!   control channel is served on its own thread for the length of the
+//!   run; `join` appends a roster slot whose driver (spawned by the
+//!   pump) steals from the *pending* pool only (completed points are
+//!   never reassigned), `leave` requeues a slot's in-flight points
 //!   exactly like eviction.
 //! * **Probation rejoin**: eviction is no longer forever. With a
 //!   probation policy set, an evicted slot cools down, is re-probed via
@@ -66,18 +67,22 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use vm_explore::{plan_fingerprint, run_header, ExecConfig};
-use vm_harden::{DynJournalWriter, FailureKind, JournalEntry, PointOutcome, RetryPolicy, SimError};
+use vm_harden::{
+    Breaker, DynJournalWriter, FailureKind, JournalEntry, PointOutcome, RetryPolicy, SimError,
+};
 use vm_obs::json::Value;
 use vm_obs::{Event, EvictReason, Reporter, Sink};
 use vm_serve::{Client, WatchHub};
+use vm_types::SplitMix64;
 
-use crate::backend::{Backend, Breaker, EvictPolicy, ShutdownOutcome};
+use crate::backend::{Backend, ShutdownOutcome};
 use crate::membership::{join_response, ControlChannel, ControlCmd, Slot, SlotState};
 use crate::merge::{merge, rebind_payload, MergeSet, MergedRun, Offer};
 use crate::plan::FleetPlan;
 use crate::resume::assign_note;
 use crate::shard::shard_of;
 use crate::watch::fan_in_backend;
+use crate::EvictPolicy;
 
 /// Knobs for one fleet run.
 #[derive(Debug, Clone)]
@@ -149,7 +154,7 @@ pub struct FleetSession {
     /// Completed payloads replayed from a prior coordinator's journal;
     /// these points are never re-dispatched.
     pub seeded: BTreeMap<usize, Value>,
-    /// Control channel polled for `join` / `leave` / `roster` verbs.
+    /// Control channel served for `join` / `leave` / `roster` verbs.
     pub control: Option<ControlChannel>,
 }
 
@@ -289,12 +294,18 @@ impl State {
     }
 }
 
-/// SplitMix64 — drives the deterministic audit sample.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// Whether point `ix` falls in the deterministic audit sample drawn at
+/// `rate` from `seed`: the first SplitMix64 draw seeded with
+/// `seed ^ ix`, as a 53-bit fraction, below `rate`.
+fn audit_selected(seed: u64, ix: usize, rate: f64) -> bool {
+    if rate <= 0.0 {
+        return false;
+    }
+    if rate >= 1.0 {
+        return true;
+    }
+    let draw = SplitMix64::new(seed ^ ix as u64).next_u64() >> 11;
+    (draw as f64 / (1u64 << 53) as f64) < rate
 }
 
 struct Shared<'a> {
@@ -350,19 +361,6 @@ impl Shared<'_> {
         if let Some(j) = &self.journal {
             j.lock().unwrap_or_else(|e| e.into_inner()).record(entry);
         }
-    }
-
-    /// Whether point `ix` falls in the deterministic audit sample.
-    fn audit_selected(&self, ix: usize) -> bool {
-        let rate = self.opts.audit_rate;
-        if rate <= 0.0 {
-            return false;
-        }
-        if rate >= 1.0 {
-            return true;
-        }
-        let draw = splitmix64(self.audit_seed ^ ix as u64) >> 11;
-        (draw as f64 / (1u64 << 53) as f64) < rate
     }
 
     /// Blocks until there is work for slot `b`, the run resolves, or
@@ -508,7 +506,9 @@ impl Shared<'_> {
                 st.winner.insert(ix, b);
                 if let Some(c) = st.contests.remove(&ix) {
                     self.resolve_contest(&mut st, ix, &payload, b, c);
-                } else if self.audit_selected(ix) && !st.audited.contains(&ix) {
+                } else if audit_selected(self.audit_seed, ix, self.opts.audit_rate)
+                    && !st.audited.contains(&ix)
+                {
                     st.audit_due.insert(ix);
                 }
                 entry = Some(JournalEntry::from_outcome(
@@ -1134,9 +1134,9 @@ fn run_point(
     }
 }
 
-/// Answers one control-channel verb against the shared state. Runs on
-/// the pump thread, so membership mutations never race the dispatch
-/// state from a socket thread.
+/// Answers one control-channel verb against the shared state, under the
+/// state lock like every other membership change. Runs on the control
+/// channel's thread; a joined slot's driver is spawned by the pump.
 fn handle_control(cmd: ControlCmd, shared: &Shared<'_>) -> Result<Value, String> {
     match cmd {
         ControlCmd::Join { addr } => {
@@ -1299,10 +1299,14 @@ pub fn run_fleet<S: Sink>(
         for (b, backend) in launch_arcs.iter().enumerate() {
             scope.spawn(move || driver(b, backend, shared, true));
         }
+        if let Some(control) = &control {
+            let stop = &stop;
+            scope.spawn(move || control.serve(stop, &mut |cmd| handle_control(cmd, shared)));
+        }
         // The main thread is the pump: sinks are not `Sync`, so workers
         // buffer events under the state lock and we drain them here in
-        // arrival order; the same loop polls the control channel, fires
-        // due probation probes, and spawns drivers for joined slots.
+        // arrival order; the same loop fires due probation probes and
+        // spawns drivers for joined slots.
         loop {
             let mut to_probe: Vec<(usize, u32)> = Vec::new();
             let mut to_spawn: Vec<(usize, Arc<Backend>)> = Vec::new();
@@ -1343,9 +1347,6 @@ pub fn run_fleet<S: Sink>(
                     std::thread::spawn(move || fan_in_backend(b, &addr, &hub, &stop));
                 }
                 scope.spawn(move || driver(b, &backend, shared, true));
-            }
-            if let Some(control) = &control {
-                control.poll(&mut |cmd| handle_control(cmd, shared));
             }
             let st = shared.lock();
             let (st, _) = shared
@@ -1421,4 +1422,26 @@ pub fn run_fleet<S: Sink>(
         resumed,
         roster,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_audit_sample_is_pinned() {
+        // The same plan fingerprint must keep auditing the same points,
+        // run after run.
+        let seed = 0x0123_4567_89ab_cdef;
+        let picked: Vec<usize> = (0..64).filter(|&ix| audit_selected(seed, ix, 0.5)).collect();
+        assert_eq!(
+            picked,
+            [
+                0, 2, 5, 7, 9, 10, 12, 17, 20, 24, 25, 26, 27, 28, 34, 36, 39, 40, 41, 42, 44, 45,
+                47, 49, 52, 53, 54, 56, 57, 59, 63
+            ]
+        );
+        assert!((0..64).all(|ix| !audit_selected(seed, ix, 0.0)));
+        assert!((0..64).all(|ix| audit_selected(seed, ix, 1.0)));
+    }
 }

@@ -15,15 +15,15 @@
 //! * [`plan`] — the global fleet plan: the merged sweep grid plus the
 //!   per-point base-spec text each single-point job re-expands from.
 //! * [`backend`] — one fleet slot: spawn-or-connect, health checks with
-//!   `vm_harden` backoff, and an eviction breaker with the same
-//!   failures-in-window semantics as the supervise crash-loop breaker.
+//!   `vm_harden` backoff, and eviction by the same failures-in-window
+//!   [`vm_harden::Breaker`] the supervise crash-loop breaker counts with.
 //! * [`coordinator`] — the dispatch loop: one driver thread per
 //!   backend, home-shard affinity with work stealing, hedged re-dispatch
 //!   of stragglers (first result wins), and point re-queue when a
 //!   backend dies mid-job.
 //! * [`membership`] — elastic membership: the slot lifecycle
 //!   (active → probation → rejoin, or dead/left) and the coordinator's
-//!   `join`/`leave`/`roster` control channel.
+//!   `join`/`leave`/`roster` control channel, served on its own thread.
 //! * [`resume`] — coordinator crash-resume: the fleet-journal dialect
 //!   (assignment notes plus payload-bearing point entries) and the
 //!   fingerprint-checked seeding a restarted coordinator replays.
@@ -31,8 +31,12 @@
 //!   payloads round-trip through the `vm_explore` result codec into a
 //!   journal byte-identical to a clean single-node `--jobs 1` run.
 //! * [`watch`] — fan-in of every backend's `watch` stream into one
-//!   [`vm_serve::WatchHub`], plus a tiny proxy listener so `repro
-//!   watch` points at a fleet exactly like it points at a daemon.
+//!   [`vm_serve::WatchHub`], plus a proxy listener so `repro watch`
+//!   points at a fleet exactly like it points at a daemon.
+//!
+//! Both listeners are thin handlers on vm-serve's connection code
+//! ([`vm_serve::conn`]): the daemon's accept loop, bounded request
+//! reader (`413` past the line limit) and watch-frame loop.
 //!
 //! Throughput is measured outside the crate, by the repository
 //! benchmark's `fleet-sweep` workload (`perfbench/`).
@@ -49,11 +53,14 @@ pub mod resume;
 pub mod shard;
 pub mod watch;
 
-pub use backend::{Backend, Breaker, EvictPolicy, ShutdownOutcome};
+pub use backend::{Backend, ShutdownOutcome};
 pub use coordinator::{run_fleet, FleetOptions, FleetOutcome, FleetSession, SlotReport};
 pub use membership::{ControlChannel, ControlCmd, Slot, SlotState};
 pub use merge::{merge, rebind_payload, MergeSet, MergedRun, Offer};
 pub use plan::{fleet_plan, FleetPlan};
 pub use resume::{assign_note, read_fleet_journal, seed_fleet_resume, FleetResume};
 pub use shard::{partition, shard_of};
+/// When the fleet evicts a backend: more than `max_failures` transport
+/// or job failures inside the sliding `window`.
+pub use vm_harden::BreakerPolicy as EvictPolicy;
 pub use watch::{fan_in_backend, WatchProxy};

@@ -11,20 +11,21 @@
 //!   after a cool-down instead of staying dead, and a rejoined backend
 //!   runs on a reduced dispatch budget (no hedging) until it completes
 //!   one point cleanly.
-//! * [`ControlChannel`]: a non-blocking listener on the coordinator
-//!   speaking the fleet's NDJSON verb style — `join {addr}` /
-//!   `leave {slot}` / `roster` — polled from the coordinator's pump
-//!   loop, so backends can be added or drained mid-run. Joins only
-//!   ever receive still-pending points; completed points are never
-//!   reassigned, preserving first-result-wins dedup and the bit-exact
-//!   merge.
+//! * [`ControlChannel`]: a listener on the coordinator speaking the
+//!   fleet's NDJSON verb style — `join {addr}` / `leave {slot}` /
+//!   `roster` — served on its own thread for the length of the run, so
+//!   backends can be added or drained mid-run while the coordinator's
+//!   pump never touches a socket. Joins only ever receive still-pending
+//!   points; completed points are never reassigned, preserving
+//!   first-result-wins dedup and the bit-exact merge.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vm_obs::json::{self, Value};
+use vm_serve::conn::{self, accept_until, Conn, MAX_REQUEST_BYTES};
 use vm_serve::{error_response, ok_response, ProtoError};
 
 use crate::backend::Backend;
@@ -144,12 +145,11 @@ pub enum ControlCmd {
     Roster,
 }
 
-/// The coordinator's membership listener.
-///
-/// Connections are handled synchronously inside
-/// [`ControlChannel::poll`] — one request line, one response line,
-/// close — so membership mutations happen on the coordinator's pump
-/// thread and never race the dispatch state from a socket thread.
+/// How long a control client may take to send its request line.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The coordinator's membership listener: one request line, one
+/// response line, close.
 #[derive(Debug)]
 pub struct ControlChannel {
     listener: TcpListener,
@@ -162,9 +162,7 @@ impl ControlChannel {
     ///
     /// Returns the bind error.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<ControlChannel> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(ControlChannel { listener })
+        Ok(ControlChannel { listener: conn::bind(addr)? })
     }
 
     /// The bound address.
@@ -176,25 +174,36 @@ impl ControlChannel {
         self.listener.local_addr()
     }
 
-    /// Accepts and answers every connection currently waiting, then
-    /// returns. `handle` maps a parsed verb to a full response object
-    /// (`Ok`) or a refusal message (`Err`, sent as a `409`). Malformed
-    /// requests and unknown verbs are answered with a `400` without
-    /// reaching the handler.
-    pub fn poll(&self, handle: &mut dyn FnMut(ControlCmd) -> Result<Value, String>) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => control_conn(stream, handle),
-                Err(_) => return, // WouldBlock or a transient accept error
-            }
-        }
+    /// Answers connections one at a time on the calling thread until
+    /// `stop` is set. `handle` maps a parsed verb to a full response
+    /// object (`Ok`) or a refusal message (`Err`, sent as a `409`).
+    /// Malformed requests and unknown verbs are answered with a `400`
+    /// without reaching the handler.
+    pub fn serve(
+        &self,
+        stop: &AtomicBool,
+        handle: &mut dyn FnMut(ControlCmd) -> Result<Value, String>,
+    ) {
+        accept_until(
+            &self.listener,
+            || stop.load(Ordering::Acquire),
+            |stream| {
+                let mut conn = Conn::new(stream, CONTROL_TIMEOUT, MAX_REQUEST_BYTES);
+                let Some(line) = conn.next_line() else { return };
+                let parsed = json::parse(&line)
+                    .map_err(|e| format!("malformed request: {e}"))
+                    .and_then(|v| parse_cmd(&v));
+                let resp = match parsed {
+                    Err(msg) => error_response(&ProtoError::new(400, msg)),
+                    Ok(cmd) => match handle(cmd) {
+                        Ok(v) => v,
+                        Err(msg) => error_response(&ProtoError::new(409, msg)),
+                    },
+                };
+                let _ = conn.write_line(&resp);
+            },
+        );
     }
-}
-
-fn write_line(stream: &mut TcpStream, v: &Value) {
-    let mut line = v.to_string();
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
 }
 
 /// Parses the request line of one control connection into a verb.
@@ -217,29 +226,6 @@ fn parse_cmd(v: &Value) -> Result<ControlCmd, String> {
     }
 }
 
-fn control_conn(
-    mut stream: TcpStream,
-    handle: &mut dyn FnMut(ControlCmd) -> Result<Value, String>,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    let Ok(reader) = stream.try_clone() else { return };
-    if BufReader::new(reader).read_line(&mut line).is_err() {
-        return;
-    }
-    let parsed = json::parse(line.trim())
-        .map_err(|e| format!("malformed request: {e}"))
-        .and_then(|v| parse_cmd(&v));
-    let resp = match parsed {
-        Err(msg) => error_response(&ProtoError::new(400, msg)),
-        Ok(cmd) => match handle(cmd) {
-            Ok(v) => v,
-            Err(msg) => error_response(&ProtoError::new(409, msg)),
-        },
-    };
-    write_line(&mut stream, &resp);
-}
-
 /// Convenience: the `ok` response for an accepted join.
 pub fn join_response(slot: usize, pending: usize) -> Value {
     ok_response([("slot", (slot as u64).into()), ("pending", (pending as u64).into())])
@@ -248,21 +234,15 @@ pub fn join_response(slot: usize, pending: usize) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use vm_serve::Client;
 
-    /// Polls `chan` on a thread until `stop`, answering with `handle`.
+    /// Serves `chan` on a thread until `stop`, answering with `handle`.
     fn pump(
         chan: ControlChannel,
         stop: Arc<AtomicBool>,
         mut handle: impl FnMut(ControlCmd) -> Result<Value, String> + Send + 'static,
     ) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                chan.poll(&mut handle);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
+        std::thread::spawn(move || chan.serve(&stop, &mut handle))
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //! hedge stragglers, so a skewed hash or a slow backend costs locality,
 //! never completion.
 
+use vm_trace::wire::fnv1a;
+
 /// The home shard for a point label: FNV-1a (64-bit) reduced mod
 /// `shards`. `shards` must be non-zero.
 pub fn shard_of(label: &str, shards: usize) -> usize {
     assert!(shards > 0, "shard_of needs at least one shard");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (fnv1a(label.as_bytes()) % shards as u64) as usize
 }
 
 /// Partitions point indices `0..labels.len()` into `shards` buckets by
@@ -66,6 +63,28 @@ mod tests {
                     == shard_of(l, 4)
             );
         }
+    }
+
+    #[test]
+    fn shard_assignment_is_pinned() {
+        // A resumed fleet journal and a rerun grid must keep their home
+        // shards.
+        let labels = [
+            "ULTRIX",
+            "MACH",
+            "INTEL",
+            "PA-RISC",
+            "NOTLB",
+            "BASE",
+            "ULTRIX tlb.entries=16",
+            "ULTRIX tlb.entries=32",
+            "ULTRIX tlb.entries=64",
+            "MACH cache.l1=8K",
+            "INTEL cache.l1=16K mmu.table=hashed",
+            "",
+        ];
+        let shards: Vec<usize> = labels.iter().map(|l| shard_of(l, 3)).collect();
+        assert_eq!(shards, [1, 1, 2, 0, 1, 1, 0, 1, 1, 0, 0, 2]);
     }
 
     fn parts_to_shard(parts: &[Vec<usize>], ix: usize) -> usize {

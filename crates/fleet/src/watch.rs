@@ -4,9 +4,10 @@
 //! JSON frame per line). The fleet subscribes to every backend's
 //! firehose (`"job":"*"`), tags each frame with the originating
 //! backend's fleet slot, and republishes it into one shared
-//! [`WatchHub`]. A tiny proxy listener then answers `watch` requests
-//! against that hub, so `repro watch --addr <fleet>` works exactly as
-//! it does against a single daemon — same ack, same frames, plus a
+//! [`WatchHub`]. A proxy listener then answers `watch` requests against
+//! that hub on vm-serve's connection code ([`vm_serve::conn`]), so
+//! `repro watch --addr <fleet>` works exactly as it does against a
+//! single daemon — same ack, same frames, same keepalive, plus a
 //! `backend` field saying where each frame came from.
 //!
 //! Fan-in readers cannot reliably tell a quiet backend from a dead one
@@ -15,14 +16,19 @@
 //! connection; an error that took the whole read timeout is just an
 //! idle stream (backends keep quiet streams alive with ~5 s ticks).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vm_obs::json::{self, Value};
-use vm_serve::{ok_response, Client, SubNext, WatchHub, PROTO_VERSION};
+use vm_serve::conn::{self, accept_until, Conn, MAX_REQUEST_BYTES};
+use vm_serve::watch::WATCH_BUFFER;
+use vm_serve::{error_response, ok_response, Client, ProtoError, WatchHub, PROTO_VERSION};
+
+/// How long a proxy subscriber may take to send its request line, and
+/// each frame write may block.
+const PROXY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Subscribes to one backend's `watch` firehose and republishes every
 /// frame into `hub`, tagged with the backend's fleet slot. Returns when
@@ -67,7 +73,7 @@ pub fn fan_in_backend(id: usize, addr: &str, hub: &WatchHub, stop: &AtomicBool) 
     }
 }
 
-/// A minimal `watch`-only listener serving the fleet's aggregated hub.
+/// A `watch`-only listener serving the fleet's aggregated hub.
 #[derive(Debug)]
 pub struct WatchProxy {
     listener: TcpListener,
@@ -80,9 +86,7 @@ impl WatchProxy {
     ///
     /// Returns the bind error.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<WatchProxy> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(WatchProxy { listener })
+        Ok(WatchProxy { listener: conn::bind(addr)? })
     }
 
     /// The bound address.
@@ -95,87 +99,37 @@ impl WatchProxy {
     }
 
     /// Accepts watch subscribers until `stop` is set. Each connection
-    /// gets its own thread streaming frames from `hub`; when the hub
-    /// closes (the run finished), streams end and clients disconnect.
+    /// gets its own thread: one request line, which must be a `watch`
+    /// (anything else answers `400`), then an ack and frames from `hub`
+    /// until the hub closes (the run finished) or the client goes away.
     pub fn serve(&self, hub: &Arc<WatchHub>, stop: &AtomicBool) {
         let t0 = Instant::now();
-        while !stop.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let hub = Arc::clone(hub);
-                    std::thread::spawn(move || watch_conn(stream, &hub, t0));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-fn write_line(stream: &mut TcpStream, v: &Value) -> std::io::Result<()> {
-    stream.write_all(v.to_string().as_bytes())?;
-    stream.write_all(b"\n")
-}
-
-/// Serves one proxy subscriber: read the request line, ack, stream.
-fn watch_conn(mut stream: TcpStream, hub: &Arc<WatchHub>, t0: Instant) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        return;
-    }
-    let is_watch = json::parse(line.trim())
-        .ok()
-        .and_then(|v| v.get("req").and_then(Value::as_str).map(|r| r == "watch"))
-        .unwrap_or(false);
-    if !is_watch {
-        let e = vm_serve::ProtoError::new(400, "the fleet proxy only serves watch".to_owned());
-        let _ = write_line(&mut stream, &vm_serve::error_response(&e));
-        return;
-    }
-    let sub = hub.subscribe(None, vm_serve::watch::DEFAULT_WATCH_BUFFER);
-    let ack = ok_response([("watching", "*".into()), ("proto", PROTO_VERSION.into())]);
-    if write_line(&mut stream, &ack).is_err() {
-        hub.unsubscribe(&sub);
-        return;
-    }
-    let now_ms = || t0.elapsed().as_millis() as u64;
-    let mut idle = Duration::ZERO;
-    let poll = Duration::from_millis(200);
-    let keepalive = Duration::from_secs(5);
-    loop {
-        match sub.next(poll) {
-            SubNext::Frame(frame) => {
-                idle = Duration::ZERO;
-                if write_line(&mut stream, &frame).is_err() {
-                    break;
-                }
-            }
-            SubNext::Lagged => {
-                let _ = write_line(&mut stream, &vm_serve::watch::lagged_frame(now_ms()));
-                break;
-            }
-            SubNext::Closed => break,
-            SubNext::Idle => {
-                idle += poll;
-                if idle >= keepalive {
-                    idle = Duration::ZERO;
-                    if write_line(&mut stream, &vm_serve::watch::tick_frame(now_ms())).is_err() {
-                        break;
+        accept_until(
+            &self.listener,
+            || stop.load(Ordering::Acquire),
+            |stream| {
+                let hub = Arc::clone(hub);
+                std::thread::spawn(move || {
+                    let mut conn = Conn::new(stream, PROXY_TIMEOUT, MAX_REQUEST_BYTES);
+                    let Some(line) = conn.next_line() else { return };
+                    let is_watch = json::parse(&line)
+                        .is_ok_and(|v| v.get("req").and_then(Value::as_str) == Some("watch"));
+                    if !is_watch {
+                        let e = ProtoError::new(400, "the fleet proxy only serves watch");
+                        let _ = conn.write_line(&error_response(&e));
+                        return;
                     }
-                }
-            }
-        }
+                    let sub = hub.subscribe(None, WATCH_BUFFER);
+                    let ack =
+                        ok_response([("watching", "*".into()), ("proto", PROTO_VERSION.into())]);
+                    if conn.write_line(&ack).is_ok() {
+                        conn.stream_frames(&sub, None, &|| t0.elapsed().as_millis() as u64);
+                    }
+                    hub.unsubscribe(&sub);
+                });
+            },
+        );
     }
-    hub.unsubscribe(&sub);
 }
 
 #[cfg(test)]
@@ -232,6 +186,51 @@ mod tests {
         assert_eq!(resp.get("code").and_then(Value::as_u64), Some(400));
         stop.store(true, Ordering::Release);
         serve.join().unwrap();
+    }
+
+    /// Sends `addr` exactly one byte past the request-line limit, with
+    /// no newline, and reads until the listener closes. Exactly that
+    /// many bytes, so the listener has read them all when it closes and
+    /// its reply is not lost to a reset.
+    fn overlong_request(addr: SocketAddr) -> String {
+        use std::io::{Read, Write};
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).expect("the listener answers, then closes");
+        reply
+    }
+
+    #[test]
+    fn both_fleet_listeners_answer_413_past_the_line_limit_and_close() {
+        let hub = Arc::new(WatchHub::new());
+        let proxy = WatchProxy::bind("127.0.0.1:0").unwrap();
+        let chan = crate::ControlChannel::bind("127.0.0.1:0").unwrap();
+        let addrs = [proxy.local_addr().unwrap(), chan.local_addr().unwrap()];
+        let stop = Arc::new(AtomicBool::new(false));
+        let serving = [
+            {
+                let (hub, stop) = (Arc::clone(&hub), Arc::clone(&stop));
+                std::thread::spawn(move || proxy.serve(&hub, &stop))
+            },
+            {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || chan.serve(&stop, &mut |_| panic!("no verb was sent")))
+            },
+        ];
+        for addr in addrs {
+            let reply = overlong_request(addr);
+            let lines: Vec<&str> = reply.lines().collect();
+            assert_eq!(lines.len(), 1, "one reply line, then close: {reply:?}");
+            let v = json::parse(lines[0]).unwrap();
+            assert_eq!(v.get("code").and_then(Value::as_u64), Some(413), "{reply}");
+            assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
+        }
+        stop.store(true, Ordering::Release);
+        for t in serving {
+            t.join().unwrap();
+        }
     }
 
     #[test]

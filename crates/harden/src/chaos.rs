@@ -34,11 +34,10 @@
 //!   signed, and wrong. Exercises divergence detection, audits, and
 //!   quarantine (docs/robustness.md, Result integrity).
 //!
-//! `Stall` and `Truncate` double as the ingestion chaos hooks: the
-//! `repro upload` client applies the same plan at chunk granularity
-//! (stall before a chunk, cut a chunk short, corrupt a chunk body) to
-//! prove the server's checksums and resume contract hold under exactly
-//! these faults.
+//! The plan acts on sweep points only. Trace uploads get their faults
+//! from `tests/serve_ingest.rs` instead, which corrupts chunks at every
+//! stage and restarts the daemon mid-upload to prove the server's
+//! checksums and resume contract.
 //!
 //! Everything is seeded [`SplitMix64`]: which record triggers, how many
 //! I/O attempts fail — the same plan replays identically, with no clock

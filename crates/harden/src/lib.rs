@@ -11,7 +11,8 @@
 //!   panic-payload classification so `catch_unwind` produces precise
 //!   diagnoses instead of "a thread panicked".
 //! * [`retry`] — [`RetryPolicy`] with capped exponential backoff,
-//!   applied only to transient (I/O) failures.
+//!   applied only to transient (I/O) failures, and the sliding-window
+//!   [`Breaker`] that gives up on a resource that keeps failing.
 //! * [`deadline`] — [`DeadlineSink`], a walk-cycle budget in simulated
 //!   time that degrades runaway points to a `TimedOut` outcome.
 //! * [`guard`] — [`CheckedTrace`] record validation and
@@ -45,4 +46,4 @@ pub use journal::{
     fingerprint, DynJournalWriter, Journal, JournalEntry, JournalWriter, RunHeader, SharedBuf,
     SyncWrite, JOURNAL_VERSION,
 };
-pub use retry::{with_retry, with_retry_salted, RetryPolicy};
+pub use retry::{with_retry, with_retry_salted, Breaker, BreakerPolicy, RetryPolicy};

@@ -13,8 +13,14 @@
 //! spreads the wake-ups with a SplitMix64-derived *deterministic* jitter
 //! — the sleep for a given `(seed, salt, retry)` triple is a pure
 //! function, so tests (and resumed runs) stay reproducible.
+//!
+//! Retrying has a limit beyond one point: a resource that keeps failing
+//! should be given up on. [`Breaker`] is that limit, a sliding-window
+//! failure counter; the worker pool's crash-loop breaker and the
+//! fleet's backend eviction both count with it.
 
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use vm_types::SplitMix64;
 
@@ -84,6 +90,57 @@ impl RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy::NONE
+    }
+}
+
+/// When a [`Breaker`] trips: on the failure that puts strictly more
+/// than `max_failures` failures inside the sliding `window`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BreakerPolicy {
+    /// Failures tolerated inside the window.
+    pub max_failures: u32,
+    /// Sliding window the failures must fall inside.
+    pub window: Duration,
+}
+
+impl Default for BreakerPolicy {
+    /// The fourth failure inside a minute trips.
+    fn default() -> BreakerPolicy {
+        BreakerPolicy { max_failures: 3, window: Duration::from_secs(60) }
+    }
+}
+
+/// A sliding-window failure counter. Time is passed in, not sampled, so
+/// tests never sleep.
+#[derive(Debug)]
+pub struct Breaker {
+    policy: BreakerPolicy,
+    window: VecDeque<Instant>,
+}
+
+impl Breaker {
+    /// A closed breaker under `policy`.
+    pub fn new(policy: BreakerPolicy) -> Breaker {
+        Breaker { policy, window: VecDeque::new() }
+    }
+
+    /// Records one failure at `now`; returns `true` when the breaker
+    /// trips (the failure count inside the window exceeds the budget).
+    pub fn record(&mut self, now: Instant) -> bool {
+        self.window.push_back(now);
+        while let Some(&front) = self.window.front() {
+            if now.duration_since(front) > self.policy.window {
+                self.window.pop_front();
+            } else {
+                break;
+            }
+        }
+        self.failures() > self.policy.max_failures
+    }
+
+    /// Failures currently inside the window.
+    pub fn failures(&self) -> u32 {
+        self.window.len() as u32
     }
 }
 
@@ -202,6 +259,30 @@ mod tests {
         });
         assert!(out.is_err());
         assert_eq!((calls, attempts), (1, 1));
+    }
+
+    #[test]
+    fn breaker_trips_past_the_budget_inside_the_window() {
+        let mut b = Breaker::new(BreakerPolicy::default());
+        let t0 = Instant::now();
+        assert!(!b.record(t0));
+        assert!(!b.record(t0));
+        assert!(!b.record(t0));
+        assert!(b.record(t0), "fourth failure inside the window trips");
+        assert_eq!(b.failures(), 4);
+    }
+
+    #[test]
+    fn old_failures_age_out_of_the_window() {
+        let mut b =
+            Breaker::new(BreakerPolicy { max_failures: 1, window: Duration::from_secs(60) });
+        let t0 = Instant::now();
+        assert!(!b.record(t0));
+        // Two minutes later the first failure no longer counts.
+        let late = t0 + Duration::from_secs(120);
+        assert!(!b.record(late));
+        assert_eq!(b.failures(), 1);
+        assert!(b.record(late), "second failure inside the fresh window trips");
     }
 
     #[test]

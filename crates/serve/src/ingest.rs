@@ -65,9 +65,10 @@ pub struct IngestSettings {
     pub staging_watermark: u64,
     /// Idle partial uploads older than this are garbage-collected.
     pub partial_ttl: Duration,
-    /// The `retry_after` hint (milliseconds) in `429` responses.
-    pub retry_after_ms: u64,
 }
+
+/// The `retry_after` hint (milliseconds) in `429` responses.
+const RETRY_AFTER_MS: u64 = 500;
 
 impl Default for IngestSettings {
     fn default() -> IngestSettings {
@@ -76,7 +77,6 @@ impl Default for IngestSettings {
             max_conn_bytes: 256 << 20,
             staging_watermark: 256 << 20,
             partial_ttl: Duration::from_secs(3600),
-            retry_after_ms: 500,
         }
     }
 }
@@ -309,14 +309,14 @@ impl Ingest {
                     "staging area past its watermark ({} of {} bytes)",
                     staged_total, self.settings.staging_watermark
                 ),
-                self.settings.retry_after_ms,
+                RETRY_AFTER_MS,
             ));
         }
         if queue_full {
             emit(Event::UploadRejected { upload: 0, code: 429 });
             return Ok(backpressure_response(
                 "job queue is full; ingestion yields to the job path",
-                self.settings.retry_after_ms,
+                RETRY_AFTER_MS,
             ));
         }
         // Create the (empty) part file first, then journal the begin
@@ -701,7 +701,6 @@ mod tests {
             max_conn_bytes: 4 << 20,
             staging_watermark: 2 << 20,
             partial_ttl: Duration::from_secs(3600),
-            retry_after_ms: 250,
         }
     }
 

@@ -29,10 +29,12 @@
 //!   `--resume` rebuilds its queue and produces bit-identical results.
 //!
 //! The crate splits along those lines: [`proto`] (wire format),
-//! [`job`] (the persisted unit of work), [`server`] (listener, workers,
-//! drain), [`ingest`] (chunked trace uploads: checksums, quotas,
-//! crash-safe staging), [`client`] (a minimal client for tests and
-//! tools), and [`report`] (the `serve-stats` telemetry report).
+//! [`conn`] (the accept loop, bounded request reader and watch-frame
+//! loop every listener shares, the fleet's included), [`job`] (the
+//! persisted unit of work), [`server`] (workers, drain), [`ingest`]
+//! (chunked trace uploads: checksums, quotas, crash-safe staging),
+//! [`client`] (a minimal client for tests and tools), and [`report`]
+//! (the `serve-stats` telemetry report).
 //! Throughput is measured outside the crate, by the repository
 //! benchmark's `serve-closed` workload (`perfbench/`).
 
@@ -40,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod conn;
 pub mod dashboard;
 pub mod ingest;
 pub mod job;

@@ -28,6 +28,7 @@
 
 use vm_explore::RunScale;
 use vm_obs::json::{self, Value};
+pub use vm_trace::wire::{hex64, parse_hex64};
 
 /// Protocol version, reported by `health`.
 pub const PROTO_VERSION: u64 = 1;
@@ -172,25 +173,6 @@ pub enum Request {
         /// The upload's library name (resume path).
         name: Option<String>,
     },
-}
-
-/// Encodes a `u64` checksum/fingerprint for the wire (16 hex digits).
-#[must_use]
-pub fn hex64(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-/// Decodes [`hex64`]: exactly 16 *lowercase* hex digits, nothing else.
-/// Encoders only emit the canonical form, so the strictness costs
-/// nothing — and it keeps a checksum byte-for-byte re-renderable
-/// (`from_str_radix` alone would admit uppercase and a leading `+`,
-/// two renderings of one value).
-#[must_use]
-pub fn parse_hex64(s: &str) -> Option<u64> {
-    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)) {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
 }
 
 /// Parses one request line.
@@ -483,19 +465,6 @@ mod tests {
         ] {
             assert_eq!(parse_request(line).unwrap_err().code, 400, "{line}");
         }
-    }
-
-    #[test]
-    fn hex64_round_trips_and_rejects_junk() {
-        for v in [0u64, 1, u64::MAX, 0x8594_4171_f739_67e8] {
-            assert_eq!(parse_hex64(&hex64(v)), Some(v));
-        }
-        assert_eq!(parse_hex64("ab"), None, "too short");
-        assert_eq!(parse_hex64("00000000000000abcd"), None, "too long");
-        assert_eq!(parse_hex64("zz944171f73967e8"), None, "not hex");
-        assert_eq!(parse_hex64("85944171F73967E8"), None, "uppercase is non-canonical");
-        assert_eq!(parse_hex64("+5944171f73967e8"), None, "from_str_radix signs rejected");
-        assert_eq!(parse_hex64(" 5944171f73967e8"), None, "whitespace rejected");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The daemon: listener, admission control, worker pool, graceful drain.
 //!
-//! Structure: one accept loop (non-blocking, polling the drain and
-//! external-shutdown flags), detached connection threads speaking the
-//! [`crate::proto`] line protocol, and a fixed pool of worker threads
-//! draining a bounded job queue. All mutable state lives under a single
-//! mutex (queue + job registry + id counter), so admission checks and
-//! queue pushes are atomic and lock ordering is trivial.
+//! Structure: one accept loop ([`crate::conn::accept_until`], polling
+//! the drain and external-shutdown flags), detached connection threads
+//! speaking the [`crate::proto`] line protocol, and a fixed pool of
+//! worker threads draining a bounded job queue. All mutable state lives
+//! under a single mutex (queue + job registry + id counter), so
+//! admission checks and queue pushes are atomic and lock ordering is
+//! trivial.
 //!
 //! Robustness invariants:
 //!
@@ -32,7 +33,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -49,9 +50,10 @@ use vm_obs::json::Value;
 use vm_obs::{Event, JsonlSink, LogHist, NopSink, Reporter, Sink};
 use vm_supervise::{PoolConfig, WorkerCommand, WorkerPool};
 
+use crate::conn::{self, accept_until, Conn, MAX_REQUEST_BYTES};
 use crate::ingest::{ConnQuota, Ingest, IngestSettings};
 use crate::job::{JobOutcome, JobSpec, JobState};
-use crate::watch::{self, SubNext, WatchHub};
+use crate::watch::{self, WatchHub, WATCH_BUFFER};
 
 use crate::proto::{
     self, ok_response, parse_request, ProtoError, Request, Scale, SubmitRequest, PROTO_VERSION,
@@ -73,8 +75,6 @@ pub struct ServeConfig {
     pub state_dir: Option<PathBuf>,
     /// Reload persisted jobs from `state_dir` at startup.
     pub resume: bool,
-    /// Per-connection read/write timeout.
-    pub io_timeout: Duration,
     /// Largest accepted request line, in bytes; longer requests answer
     /// `413` and the connection closes.
     pub max_request_bytes: usize,
@@ -98,9 +98,6 @@ pub struct ServeConfig {
     /// schedule rides the simulation's instruction clock, so watching a
     /// job cannot perturb its results.
     pub checkpoint_interval: u64,
-    /// Bound on each `watch` subscriber's frame queue; a subscriber
-    /// that falls further behind is dropped with a `lagged` frame.
-    pub watch_buffer: usize,
     /// Trace-ingestion quotas, watermarks, and the partial-upload TTL.
     /// Uploads also require `state_dir` (staging must be durable).
     pub ingest: IngestSettings,
@@ -118,6 +115,9 @@ impl ServeConfig {
 /// The floor of [`ServeConfig::retained_jobs`].
 const MIN_RETAINED_JOBS: usize = 64;
 
+/// Per-connection read and write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
@@ -127,15 +127,13 @@ impl Default for ServeConfig {
             degrade_depth: 4,
             state_dir: None,
             resume: false,
-            io_timeout: Duration::from_secs(10),
-            max_request_bytes: 1 << 20,
+            max_request_bytes: MAX_REQUEST_BYTES,
             worker_processes: 0,
             worker_command: None,
             chaos: ChaosPlan::default(),
             events: None,
             shutdown: None,
             checkpoint_interval: 100_000,
-            watch_buffer: crate::watch::DEFAULT_WATCH_BUFFER,
             ingest: IngestSettings::default(),
         }
     }
@@ -322,7 +320,7 @@ impl Server {
     ///
     /// Propagates bind, state-directory, and event-file failures.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = conn::bind(&config.addr)?;
         if let Some(dir) = &config.state_dir {
             std::fs::create_dir_all(dir)?;
         }
@@ -406,7 +404,6 @@ impl Server {
     /// failures never surface here.
     pub fn serve(self) -> io::Result<ServeSummary> {
         let Server { listener, shared } = self;
-        listener.set_nonblocking(true)?;
         let workers: Vec<_> = (0..shared.config.workers.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -416,32 +413,18 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        loop {
-            if shared.draining.load(Ordering::Relaxed)
+        let stopped = || {
+            shared.draining.load(Ordering::Relaxed)
                 || shared.config.shutdown.is_some_and(|f| f.load(Ordering::Relaxed))
-            {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&shared);
-                    // Detached: a slow or stuck client costs one thread
-                    // bounded by the I/O timeout, never the accept loop.
-                    let _ = std::thread::Builder::new()
-                        .name("serve-conn".to_owned())
-                        .spawn(move || handle_connection(&shared, stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure (EMFILE, ECONNABORTED...):
-                    // back off but keep the listener alive.
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
+        };
+        accept_until(&listener, stopped, |stream| {
+            let shared = Arc::clone(&shared);
+            // Detached: a slow or stuck client costs one thread bounded
+            // by the I/O timeout, never the accept loop.
+            let _ = std::thread::Builder::new()
+                .name("serve-conn".to_owned())
+                .spawn(move || handle_connection(&shared, stream));
+        });
         initiate_drain(&shared);
         drop(listener);
         for handle in workers {
@@ -934,75 +917,45 @@ fn load_persisted_job(shared: &Shared, path: &Path, id: u64) -> Result<Job, Stri
 // ---------------------------------------------------------------------------
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_nodelay(true);
-    let max = shared.config.max_request_bytes;
-    let mut carry: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let mut conn = Conn::new(stream, IO_TIMEOUT, shared.config.max_request_bytes);
     // Per-connection upload accounting: one client cannot stage more
     // than its quota no matter how many uploads it opens.
-    let mut conn = ConnQuota::default();
-    loop {
-        while let Some(pos) = carry.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = carry.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&line);
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
-            }
-            // `watch` upgrades the connection to a one-way frame stream
-            // and consumes it; everything else stays request/response.
-            if let Ok(Request::Watch { job }) = parse_request(text) {
-                watch_stream(shared, &mut stream, job);
-                return;
-            }
-            // `drain` is acked before the flag flips: the accept loop
-            // exits (and with it, eventually, the process) the instant
-            // `draining` is set, so a response written afterwards races
-            // the daemon's death and the requester can read EOF instead
-            // of its ack. The connection stays open — a drain summary
-            // or a late (shed) request may still follow on it.
-            if let Ok(Request::Drain) = parse_request(text) {
-                let pending = shared.lock_state().queue.len() as u64;
-                let resp =
-                    ok_response([("draining", Value::Bool(true)), ("pending", pending.into())]);
-                let acked = write_line(&mut stream, &resp).is_ok();
-                initiate_drain(shared);
-                if !acked {
-                    return;
-                }
-                continue;
-            }
-            let response = respond(shared, &mut conn, text);
-            if write_line(&mut stream, &response).is_err() {
-                return;
-            }
-        }
-        if carry.len() > max {
-            let e = ProtoError::new(413, format!("request exceeds {max} bytes"));
-            let _ = write_line(&mut stream, &proto::error_response(&e));
+    let mut quota = ConnQuota::default();
+    while let Some(line) = conn.next_line() {
+        // `watch` upgrades the connection to a one-way frame stream and
+        // consumes it; everything else stays request/response.
+        if let Ok(Request::Watch { job }) = parse_request(&line) {
+            watch_stream(shared, &mut conn, job);
             return;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            // Timeout or reset: drop the connection, never the daemon.
-            Err(_) => return,
+        // `drain` is acked before the flag flips: the accept loop exits
+        // (and with it, eventually, the process) the instant `draining`
+        // is set, so a response written afterwards races the daemon's
+        // death and the requester can read EOF instead of its ack. The
+        // connection stays open — a drain summary or a late (shed)
+        // request may still follow on it.
+        if let Ok(Request::Drain) = parse_request(&line) {
+            let pending = shared.lock_state().queue.len() as u64;
+            let resp = ok_response([("draining", Value::Bool(true)), ("pending", pending.into())]);
+            let acked = conn.write_line(&resp).is_ok();
+            initiate_drain(shared);
+            if !acked {
+                return;
+            }
+            continue;
+        }
+        let response = respond(shared, &mut quota, &line);
+        if conn.write_line(&response).is_err() {
+            return;
         }
     }
 }
 
-fn write_line(stream: &mut TcpStream, v: &Value) -> io::Result<()> {
-    stream.write_all(format!("{v}\n").as_bytes())
-}
-
 /// Parses and dispatches one request line. A handler panic answers
 /// `500`; the connection (and daemon) live on.
-fn respond(shared: &Arc<Shared>, conn: &mut ConnQuota, line: &str) -> Value {
+fn respond(shared: &Arc<Shared>, quota: &mut ConnQuota, line: &str) -> Value {
     let handled = catch_unwind(AssertUnwindSafe(|| {
-        parse_request(line).and_then(|req| dispatch(shared, conn, req))
+        parse_request(line).and_then(|req| dispatch(shared, quota, req))
     }));
     match handled {
         Ok(Ok(v)) => v,
@@ -1011,11 +964,15 @@ fn respond(shared: &Arc<Shared>, conn: &mut ConnQuota, line: &str) -> Value {
     }
 }
 
-fn dispatch(shared: &Arc<Shared>, conn: &mut ConnQuota, req: Request) -> Result<Value, ProtoError> {
+fn dispatch(
+    shared: &Arc<Shared>,
+    quota: &mut ConnQuota,
+    req: Request,
+) -> Result<Value, ProtoError> {
     match req {
         Request::Submit(submit) => handle_submit(shared, submit),
         Request::UploadBegin { name, bytes, fnv } => {
-            handle_upload_begin(shared, conn, &name, bytes, fnv)
+            handle_upload_begin(shared, quota, &name, bytes, fnv)
         }
         Request::UploadChunk { upload, seq, fnv, data } => {
             ingest_of(shared)?.chunk(upload, seq, fnv, &data, &|ev| shared.emit(ev))
@@ -1055,11 +1012,11 @@ fn dispatch(shared: &Arc<Shared>, conn: &mut ConnQuota, req: Request) -> Result<
 /// Serves one `watch` subscription: ack, then frames until the job
 /// finishes (single-job watch), the subscriber lags out, the hub
 /// closes, or the client disconnects.
-fn watch_stream(shared: &Arc<Shared>, stream: &mut TcpStream, job: Option<u64>) {
+fn watch_stream(shared: &Arc<Shared>, conn: &mut Conn, job: Option<u64>) {
     // Subscribe *before* the lookup: a job finishing between the two is
     // caught either by the lookup or by its queued `done` frame — never
     // missed. An unknown or expired id is a 404, not a silent stream.
-    let sub = shared.hub.subscribe(job, shared.config.watch_buffer);
+    let sub = shared.hub.subscribe(job, WATCH_BUFFER);
     let synthetic = match job {
         Some(id) => {
             let looked_up = shared.lock_state().job(id).map(|j| {
@@ -1075,7 +1032,7 @@ fn watch_stream(shared: &Arc<Shared>, stream: &mut TcpStream, job: Option<u64>) 
             match looked_up {
                 Ok(frame) => frame,
                 Err(e) => {
-                    let _ = write_line(stream, &proto::error_response(&e));
+                    let _ = conn.write_line(&proto::error_response(&e));
                     shared.hub.unsubscribe(&sub);
                     return;
                 }
@@ -1093,45 +1050,13 @@ fn watch_stream(shared: &Arc<Shared>, stream: &mut TcpStream, job: Option<u64>) 
         ),
         ("proto", PROTO_VERSION.into()),
     ]);
-    if write_line(stream, &ack).is_err() {
-        shared.hub.unsubscribe(&sub);
-        return;
-    }
-    if let Some(frame) = synthetic {
-        // Already terminal: one done frame and the stream ends.
-        let _ = write_line(stream, &frame);
-        shared.hub.unsubscribe(&sub);
-        return;
-    }
-    let mut idle = Duration::ZERO;
-    let poll = Duration::from_millis(200);
-    let keepalive = Duration::from_secs(5);
-    loop {
-        match sub.next(poll) {
-            SubNext::Frame(frame) => {
-                idle = Duration::ZERO;
-                let terminal = job.is_some()
-                    && frame.get("frame").and_then(Value::as_str) == Some("done")
-                    && frame.get("job").and_then(Value::as_u64) == job;
-                if write_line(stream, &frame).is_err() || terminal {
-                    break;
-                }
+    if conn.write_line(&ack).is_ok() {
+        match synthetic {
+            // Already terminal: one done frame and the stream ends.
+            Some(frame) => {
+                let _ = conn.write_line(&frame);
             }
-            SubNext::Lagged => {
-                // The explicit last word on a dropped stream.
-                let _ = write_line(stream, &watch::lagged_frame(shared.now_ms()));
-                break;
-            }
-            SubNext::Closed => break,
-            SubNext::Idle => {
-                idle += poll;
-                if idle >= keepalive {
-                    idle = Duration::ZERO;
-                    if write_line(stream, &watch::tick_frame(shared.now_ms())).is_err() {
-                        break; // dead peer detected by the failed write
-                    }
-                }
-            }
+            None => conn.stream_frames(&sub, job, &|| shared.now_ms()),
         }
     }
     shared.hub.unsubscribe(&sub);
@@ -1151,7 +1076,7 @@ fn ingest_of(shared: &Shared) -> Result<&Ingest, ProtoError> {
 /// lives in [`Ingest::begin`].
 fn handle_upload_begin(
     shared: &Arc<Shared>,
-    conn: &mut ConnQuota,
+    quota: &mut ConnQuota,
     name: &str,
     bytes: u64,
     fnv: u64,
@@ -1164,7 +1089,7 @@ fn handle_upload_begin(
         return Err(ProtoError::new(503, "daemon is draining"));
     }
     let queue_full = shared.lock_state().queue.len() >= shared.config.queue_cap;
-    ingest.begin(conn, name, bytes, fnv, queue_full, &emit)
+    ingest.begin(quota, name, bytes, fnv, queue_full, &emit)
 }
 
 /// Records a shed decision (event + counters) and builds its 503.

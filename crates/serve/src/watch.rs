@@ -23,8 +23,9 @@ use vm_explore::PointCheckpoint;
 use vm_obs::json::Value;
 use vm_obs::Event;
 
-/// Default bound on a subscriber's frame queue.
-pub const DEFAULT_WATCH_BUFFER: usize = 256;
+/// Bound on a subscriber's frame queue: a subscriber that falls further
+/// behind is dropped with a `lagged` frame.
+pub const WATCH_BUFFER: usize = 256;
 
 /// What [`WatchSub::next`] yielded.
 #[derive(Debug, Clone, PartialEq)]

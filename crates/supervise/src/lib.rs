@@ -11,7 +11,7 @@
 //!   owns the whole failure policy: heartbeat liveness deadlines,
 //!   kill-and-restart with capped exponential jittered backoff
 //!   ([`vm_harden::RetryPolicy`]), a crash-loop circuit breaker
-//!   ([`BreakerConfig`]), per-worker wall-clock and RSS ceilings
+//!   ([`vm_harden::Breaker`]), per-worker wall-clock and RSS ceilings
 //!   ([`Limits`]), and orphan reaping on drop.
 //! * [`worker_loop`] — the worker runtime. One request line in, one
 //!   reply line out, `{"j":"hb"}` heartbeats in between, clean exit at
@@ -37,7 +37,7 @@ pub mod pool;
 mod proc;
 pub mod worker;
 
-pub use pool::{BreakerConfig, Limits, PoolConfig, PoolError, PoolStats, WorkerPool};
+pub use pool::{Limits, PoolConfig, PoolError, PoolStats, WorkerPool};
 pub use proc::{describe_exit, rss_bytes_of, WorkerCommand};
 pub use worker::{
     maybe_kill_for_test, worker_loop, DEFAULT_HEARTBEAT_INTERVAL, HEARTBEAT_LINE, HEARTBEAT_PREFIX,

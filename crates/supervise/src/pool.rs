@@ -18,7 +18,7 @@
 //!   exponential, jittered backoff of [`vm_harden::RetryPolicy`] and
 //!   re-send the request — a fresh process may well succeed where one
 //!   poisoned by an earlier point would not.
-//! * **Crash-loop breaker**: more than `max_restarts` crashes inside
+//! * **Crash-loop breaker**: more than `max_failures` crashes inside
 //!   the breaker window means the *request* is the poison; the breaker
 //!   trips, the request fails with [`PoolError::CrashLoop`] (mapped to
 //!   `FailureKind::Crash` upstream), and the pool moves on.
@@ -26,13 +26,12 @@
 //!   (workers exit on EOF by protocol) and kills whatever remains, so a
 //!   dying supervisor leaves no orphans behind.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use vm_harden::RetryPolicy;
+use vm_harden::{Breaker, BreakerPolicy, RetryPolicy};
 use vm_obs::Event;
 
 use crate::proc::{describe_exit, WorkerCommand, WorkerProcess};
@@ -63,22 +62,6 @@ impl Default for Limits {
     }
 }
 
-/// When the crash-loop breaker gives up on a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Restarts allowed per request inside the window before the
-    /// breaker trips.
-    pub max_restarts: u32,
-    /// The sliding window crashes are counted over.
-    pub window: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig { max_restarts: 3, window: Duration::from_secs(60) }
-    }
-}
-
 /// Everything a pool needs to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolConfig {
@@ -91,8 +74,9 @@ pub struct PoolConfig {
     /// Backoff between kill and restart (`retries` is ignored; the
     /// breaker owns give-up policy).
     pub restart_backoff: RetryPolicy,
-    /// The crash-loop breaker.
-    pub breaker: BreakerConfig,
+    /// The crash-loop breaker: more than `max_failures` crashes of one
+    /// request inside the window give up on it.
+    pub breaker: BreakerPolicy,
 }
 
 impl PoolConfig {
@@ -103,7 +87,7 @@ impl PoolConfig {
             workers: 1,
             limits: Limits::default(),
             restart_backoff: RetryPolicy::new(0),
-            breaker: BreakerConfig::default(),
+            breaker: BreakerPolicy::default(),
         }
     }
 }
@@ -111,7 +95,7 @@ impl PoolConfig {
 /// Why [`WorkerPool::execute`] gave up on a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// The request crashed its worker more than `max_restarts` times
+    /// The request crashed its worker more than `max_failures` times
     /// inside the breaker window — the request itself is the poison.
     CrashLoop {
         /// Restarts consumed before the breaker opened.
@@ -262,7 +246,7 @@ impl WorkerPool {
         let worker_id = slot as u64;
         let limits = self.config.limits;
         let mut restarts: u32 = 0;
-        let mut crash_window: VecDeque<Instant> = VecDeque::new();
+        let mut breaker = Breaker::new(self.config.breaker);
         loop {
             // Ensure the slot holds a live worker.
             if worker.is_none() {
@@ -286,7 +270,7 @@ impl WorkerPool {
                         // breath; the breaker bounds it like any other.
                         match self.note_crash(
                             &mut restarts,
-                            &mut crash_window,
+                            &mut breaker,
                             worker_id,
                             tag,
                             format!("spawn failed: {e}"),
@@ -301,7 +285,7 @@ impl WorkerPool {
 
             if w.send(request).is_err() {
                 let detail = Self::post_mortem(worker.take().expect("held above"));
-                match self.note_crash(&mut restarts, &mut crash_window, worker_id, tag, detail) {
+                match self.note_crash(&mut restarts, &mut breaker, worker_id, tag, detail) {
                     Ok(()) => continue,
                     Err(err) => return Err(err),
                 }
@@ -367,7 +351,7 @@ impl WorkerPool {
                     }
                 }
             };
-            match self.note_crash(&mut restarts, &mut crash_window, worker_id, tag, crash_detail) {
+            match self.note_crash(&mut restarts, &mut breaker, worker_id, tag, crash_detail) {
                 Ok(()) => continue,
                 Err(err) => return Err(err),
             }
@@ -380,7 +364,7 @@ impl WorkerPool {
     fn note_crash(
         &self,
         restarts: &mut u32,
-        crash_window: &mut VecDeque<Instant>,
+        breaker: &mut Breaker,
         worker_id: u64,
         tag: u64,
         detail: String,
@@ -391,16 +375,7 @@ impl WorkerPool {
                 s.crashed += 1;
             },
         );
-        let now = Instant::now();
-        crash_window.push_back(now);
-        while let Some(&front) = crash_window.front() {
-            if now.duration_since(front) > self.config.breaker.window {
-                crash_window.pop_front();
-            } else {
-                break;
-            }
-        }
-        if crash_window.len() as u32 > self.config.breaker.max_restarts {
+        if breaker.record(Instant::now()) {
             self.emit(
                 Event::BreakerTripped { worker: worker_id, point: tag, restarts: *restarts },
                 |s| s.tripped += 1,
@@ -507,7 +482,7 @@ mod tests {
     #[test]
     fn a_crash_loop_trips_the_breaker_with_the_exit_in_the_detail() {
         let mut cfg = sh_pool("read l; exit 42");
-        cfg.breaker.max_restarts = 2;
+        cfg.breaker.max_failures = 2;
         let pool = WorkerPool::new(cfg);
         let err = pool.execute(3, "req").unwrap_err();
         let PoolError::CrashLoop { restarts, detail } = &err else {
@@ -538,7 +513,7 @@ mod tests {
     fn a_wedged_worker_misses_its_heartbeat_deadline() {
         let mut cfg = sh_pool("read l; sleep 60");
         cfg.limits.heartbeat = Duration::from_millis(120);
-        cfg.breaker.max_restarts = 1;
+        cfg.breaker.max_failures = 1;
         let pool = WorkerPool::new(cfg);
         let err = pool.execute(0, "req").unwrap_err();
         let PoolError::CrashLoop { detail, .. } = &err else {
@@ -567,7 +542,7 @@ mod tests {
             "while read l; do while true; do echo '{\"j\":\"hb\"}'; sleep 0.05; done; done",
         );
         cfg.limits.rss_bytes = Some(1);
-        cfg.breaker.max_restarts = 1;
+        cfg.breaker.max_failures = 1;
         let pool = WorkerPool::new(cfg);
         let err = pool.execute(0, "req").unwrap_err();
         let PoolError::CrashLoop { detail, .. } = &err else {

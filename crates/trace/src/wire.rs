@@ -16,8 +16,11 @@
 //!   padding, dependency-free, strict on decode (no whitespace, no
 //!   missing padding) so a truncated chunk body is an error, never a
 //!   silently shorter payload.
+//! * [`hex64`]/[`parse_hex64`] — a `u64` as exactly 16 lowercase hex
+//!   digits: how checksums, fingerprints and `f64` bit patterns cross
+//!   JSON, whose numbers are `f64` and drop bits past 2^53.
 
-/// FNV-1a offset basis (matches `vm_harden::journal`'s fingerprint).
+/// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -27,11 +30,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// usable integrity check for upload chunks.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.digest()
 }
 
 /// An incremental [`fnv1a`] for data that arrives in chunks; feeding
@@ -64,6 +65,27 @@ impl Default for Fnv1a {
     fn default() -> Fnv1a {
         Fnv1a::new()
     }
+}
+
+/// Encodes a `u64` checksum, fingerprint or bit pattern for the wire:
+/// 16 lowercase hex digits.
+#[must_use]
+pub fn hex64(v: u64) -> String {
+    format!("{v:016x}")
+}
+
+/// Decodes [`hex64`]: exactly 16 *lowercase* hex digits, nothing else.
+/// Encoders only emit the canonical form, so the strictness costs
+/// nothing — and it keeps a value byte-for-byte re-renderable
+/// (`from_str_radix` alone would admit uppercase and a leading `+`,
+/// two renderings of one value), so a journal byte is either canonical
+/// or rejected, never silently normalized.
+#[must_use]
+pub fn parse_hex64(s: &str) -> Option<u64> {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)) {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok()
 }
 
 const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -181,6 +203,19 @@ mod tests {
             assert_ne!(fnv1a(&copy), base, "flip at byte {i} went undetected");
             copy[i] ^= 0x40;
         }
+    }
+
+    #[test]
+    fn hex64_round_trips_and_rejects_junk() {
+        for v in [0u64, 1, u64::MAX, 0x8594_4171_f739_67e8] {
+            assert_eq!(parse_hex64(&hex64(v)), Some(v));
+        }
+        assert_eq!(parse_hex64("ab"), None, "too short");
+        assert_eq!(parse_hex64("00000000000000abcd"), None, "too long");
+        assert_eq!(parse_hex64("zz944171f73967e8"), None, "not hex");
+        assert_eq!(parse_hex64("85944171F73967E8"), None, "uppercase is non-canonical");
+        assert_eq!(parse_hex64("+5944171f73967e8"), None, "from_str_radix signs rejected");
+        assert_eq!(parse_hex64(" 5944171f73967e8"), None, "whitespace rejected");
     }
 
     #[test]

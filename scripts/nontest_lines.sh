@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Counts the workspace's non-test Rust lines: every tracked `.rs` file
+# outside tests/, examples/, benches/ and perfbench/, each cut at its
+# first `#[cfg(test)]` line. Prints one number.
+#
+# usage: scripts/nontest_lines.sh [REV]   (default: the working tree)
+set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+rev=${1:-}
+if [ -n "$rev" ]; then
+    files=$(git ls-tree -r --name-only "$rev" | grep '\.rs$')
+else
+    files=$(git ls-files -- '*.rs')
+fi
+total=0
+while IFS= read -r f; do
+    case "/$f" in
+        */tests/* | */examples/* | */benches/* | /perfbench/*) continue ;;
+    esac
+    if [ -n "$rev" ]; then
+        n=$(git show "$rev:$f" | awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }')
+    else
+        n=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+    fi
+    total=$((total + n))
+done <<< "$files"
+echo "$total"
