@@ -76,6 +76,12 @@ impl std::fmt::Debug for Mmu {
 /// [`SimConfig::build`] — but custom page-table organizations can be
 /// plugged in through [`MemorySystem::with_tlb_walker`].
 ///
+/// The system is a front end — the trace position, ASID and periodic
+/// flushes, the TLBs and the walker — feeding one cache back end, or
+/// several when the walker allows it ([`MemorySystem::add_back_end`]):
+/// every back end sees every user reference, handler fetch and PTE load,
+/// so one pass measures several cache geometries.
+///
 /// The system is generic over an event [`Sink`]. The default,
 /// [`NopSink`], has `Sink::ENABLED == false`, so every instrumentation
 /// site compiles away and the un-instrumented simulator is exactly as
@@ -85,9 +91,14 @@ impl std::fmt::Debug for Mmu {
 #[derive(Debug)]
 pub struct MemorySystem<S: Sink = NopSink> {
     label: String,
-    caches: CacheSystem,
     mmu: Mmu,
+    /// The front end's counts. The cache-side fields stay zero here: each
+    /// back end keeps its own.
     counts: RawCounts,
+    /// The first cache back end, kept inline: a lone system has only it.
+    first: BackEnd,
+    /// The back ends added since ([`MemorySystem::add_back_end`]).
+    rest: Vec<BackEnd>,
     /// Context-switch model: flush the TLBs every `n` instructions.
     flush_tlb_every: Option<u64>,
     instrs_since_flush: u64,
@@ -96,11 +107,72 @@ pub struct MemorySystem<S: Sink = NopSink> {
     sink: S,
 }
 
+/// One cache back end: a cache complement and the [`RawCounts`] fields
+/// only it can produce (user L1/L2 misses, `handler_ifetch_*`, `pte_l2`
+/// and `pte_mem`; its other fields stay zero).
+#[derive(Debug)]
+struct BackEnd {
+    caches: CacheSystem,
+    counts: RawCounts,
+}
+
+impl BackEnd {
+    fn new(caches: CacheSystem) -> BackEnd {
+        BackEnd { caches, counts: RawCounts::default() }
+    }
+
+    /// One user reference's cache lookup, counted.
+    #[inline]
+    fn access(&mut self, addr: MAddr, kind: AccessKind) -> MissClass {
+        let (class, l1_ctr, l2_ctr) = if kind == AccessKind::Fetch {
+            (self.caches.fetch(addr), &mut self.counts.l1i_misses, &mut self.counts.l2i_misses)
+        } else {
+            (self.caches.data(addr), &mut self.counts.l1d_misses, &mut self.counts.l2d_misses)
+        };
+        match class {
+            MissClass::L1Hit => {}
+            MissClass::L2Hit => *l1_ctr += 1,
+            MissClass::Memory => {
+                *l1_ctr += 1;
+                *l2_ctr += 1;
+            }
+        }
+        class
+    }
+
+    /// [`BackEnd::access`] on each of `backs`, kept out of line so a lone
+    /// system's reference path stays as short as it was.
+    #[inline(never)]
+    fn access_all(backs: &mut [BackEnd], addr: MAddr, kind: AccessKind) {
+        for back in backs {
+            back.access(addr, kind);
+        }
+    }
+
+    /// The front end's counts with this back end's cache-side fields.
+    fn merged(&self, front: &RawCounts) -> RawCounts {
+        let c = &self.counts;
+        RawCounts {
+            l1i_misses: c.l1i_misses,
+            l2i_misses: c.l2i_misses,
+            l1d_misses: c.l1d_misses,
+            l2d_misses: c.l2d_misses,
+            pte_l2: c.pte_l2,
+            pte_mem: c.pte_mem,
+            handler_ifetch_l2: c.handler_ifetch_l2,
+            handler_ifetch_mem: c.handler_ifetch_mem,
+            ..*front
+        }
+    }
+}
+
 /// The [`WalkContext`] the simulator hands to walkers: it routes handler
-/// fetches through the I-caches, PTE loads through the D-caches, and TLB
-/// traffic to the D-TLB, classifying every event into [`RawCounts`].
+/// fetches through every back end's I-caches, PTE loads through every
+/// back end's D-caches, and TLB traffic to the D-TLB, classifying every
+/// event into [`RawCounts`].
 struct WalkCtx<'a, S: Sink> {
-    caches: &'a mut CacheSystem,
+    first: &'a mut BackEnd,
+    rest: &'a mut [BackEnd],
     dtlb: Option<&'a mut Tlb>,
     counts: &'a mut RawCounts,
     asid_mode: AsidMode,
@@ -112,28 +184,31 @@ impl<S: Sink> WalkContext for WalkCtx<'_, S> {
         let i = lvl(level);
         self.counts.handler_invocations[i] += 1;
         self.counts.handler_instr_cycles[i] += u64::from(instrs);
-        for n in 0..u64::from(instrs) {
-            // Miss events are counted inclusively, as for user references:
-            // a fetch that goes to memory missed the L1 *and* the L2, so
-            // it costs 20 + 500 cycles (Tables 2-3 applied uniformly).
-            let class = if S::ENABLED {
-                let (class, fill) = self.caches.fetch_observed(base.add(n * 4));
-                let now = self.counts.user_instrs;
-                if fill.l1_evicted {
-                    self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L1I });
+        let now = self.counts.user_instrs;
+        for back in std::iter::once(&mut *self.first).chain(self.rest.iter_mut()) {
+            for n in 0..u64::from(instrs) {
+                // Miss events are counted inclusively, as for user
+                // references: a fetch that goes to memory missed the L1
+                // *and* the L2, so it costs 20 + 500 cycles (Tables 2-3
+                // applied uniformly).
+                let class = if S::ENABLED {
+                    let (class, fill) = back.caches.fetch_observed(base.add(n * 4));
+                    if fill.l1_evicted {
+                        self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L1I });
+                    }
+                    if fill.l2_evicted {
+                        self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L2I });
+                    }
+                    class
+                } else {
+                    back.caches.fetch(base.add(n * 4))
+                };
+                if class.missed_l1() {
+                    back.counts.handler_ifetch_l2 += 1;
                 }
-                if fill.l2_evicted {
-                    self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L2I });
+                if class.missed_l2() {
+                    back.counts.handler_ifetch_mem += 1;
                 }
-                class
-            } else {
-                self.caches.fetch(base.add(n * 4))
-            };
-            if class.missed_l1() {
-                self.counts.handler_ifetch_l2 += 1;
-            }
-            if class.missed_l2() {
-                self.counts.handler_ifetch_mem += 1;
             }
         }
     }
@@ -147,26 +222,31 @@ impl<S: Sink> WalkContext for WalkCtx<'_, S> {
     fn pte_load(&mut self, level: HandlerLevel, addr: MAddr, bytes: u64) -> MissClass {
         let i = lvl(level);
         self.counts.pte_loads[i] += 1;
-        let class = if S::ENABLED {
-            let (class, fill) = self.caches.data_span_observed(addr, bytes);
-            let now = self.counts.user_instrs;
-            if fill.l1_evicted {
-                self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L1D });
+        let now = self.counts.user_instrs;
+        // The first back end goes last, so the class returned is its own:
+        // a walker that reads the class never shares, so it has no other.
+        let mut class = MissClass::L1Hit;
+        for back in self.rest.iter_mut().chain(std::iter::once(&mut *self.first)) {
+            class = if S::ENABLED {
+                let (class, fill) = back.caches.data_span_observed(addr, bytes);
+                if fill.l1_evicted {
+                    self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L1D });
+                }
+                if fill.l2_evicted {
+                    self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L2D });
+                }
+                class
+            } else {
+                back.caches.data_span(addr, bytes)
+            };
+            // Inclusive events, as for user references: a load that goes
+            // to memory missed both levels and pays 20 + 500 cycles.
+            if class.missed_l1() {
+                back.counts.pte_l2[i] += 1;
             }
-            if fill.l2_evicted {
-                self.sink.emit(now, &Event::HandlerEviction { which_cache: CacheId::L2D });
+            if class.missed_l2() {
+                back.counts.pte_mem[i] += 1;
             }
-            class
-        } else {
-            self.caches.data_span(addr, bytes)
-        };
-        // Inclusive events, as for user references: a load that goes to
-        // memory missed both levels and pays 20 + 500 cycles.
-        if class.missed_l1() {
-            self.counts.pte_l2[i] += 1;
-        }
-        if class.missed_l2() {
-            self.counts.pte_mem[i] += 1;
         }
         class
     }
@@ -246,12 +326,13 @@ struct WalkCostSnapshot {
 }
 
 impl WalkCostSnapshot {
-    fn of(c: &RawCounts) -> WalkCostSnapshot {
+    /// The front end's counts `c` with the cache-side counts of `back`.
+    fn of(c: &RawCounts, back: &RawCounts) -> WalkCostSnapshot {
         WalkCostSnapshot {
             instr_cycles: c.handler_instr_cycles.iter().sum(),
             inline_cycles: c.inline_cycles.iter().sum(),
-            l2_events: c.handler_ifetch_l2 + c.pte_l2.iter().sum::<u64>(),
-            mem_events: c.handler_ifetch_mem + c.pte_mem.iter().sum::<u64>(),
+            l2_events: back.handler_ifetch_l2 + back.pte_l2.iter().sum::<u64>(),
+            mem_events: back.handler_ifetch_mem + back.pte_mem.iter().sum::<u64>(),
             pte_loads: c.pte_loads.iter().sum(),
         }
     }
@@ -291,9 +372,10 @@ impl MemorySystem {
     ) -> MemorySystem {
         MemorySystem {
             label,
-            caches,
             mmu,
             counts: RawCounts::default(),
+            first: BackEnd::new(caches),
+            rest: Vec::new(),
             flush_tlb_every,
             instrs_since_flush: 0,
             asid_mode,
@@ -339,17 +421,47 @@ impl MemorySystem {
     pub fn bare(label: impl Into<String>, caches: CacheSystem) -> MemorySystem {
         MemorySystem::from_parts(label.into(), caches, Mmu::Bare, None, AsidMode::Tagged)
     }
+
+    /// Feeds `caches` from this system's front end as one more back end,
+    /// so one pass over the trace measures another cache geometry:
+    /// [`MemorySystem::reports`] then holds one report per back end, each
+    /// equal to the report of a system built around those caches alone.
+    /// Add back ends before the first step.
+    ///
+    /// Returns `false`, adding nothing, when the front end cannot be
+    /// shared: its walker does not declare
+    /// [`TlbRefill::shares_front_end`], or the system has no TLBs (a
+    /// NOTLB system walks on its own cache misses; BASE has no walker).
+    #[must_use]
+    pub fn add_back_end(&mut self, caches: CacheSystem) -> bool {
+        let shares = matches!(&self.mmu, Mmu::Tlb { walker, .. } if walker.shares_front_end());
+        if shares {
+            self.rest.push(BackEnd::new(caches));
+        }
+        shares
+    }
 }
 
 impl<S: Sink> MemorySystem<S> {
     /// Replaces the event sink, monomorphizing an instrumented copy of
     /// the simulator. Counters and warmed state carry over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an enabled sink would observe more than one back end:
+    /// instrumented runs measure one cache geometry.
     pub fn with_sink<S2: Sink>(self, sink: S2) -> MemorySystem<S2> {
+        assert!(
+            !S2::ENABLED || self.rest.is_empty(),
+            "an instrumented system feeds one cache back end, not {}",
+            1 + self.rest.len()
+        );
         MemorySystem {
             label: self.label,
-            caches: self.caches,
             mmu: self.mmu,
             counts: self.counts,
+            first: self.first,
+            rest: self.rest,
             flush_tlb_every: self.flush_tlb_every,
             instrs_since_flush: self.instrs_since_flush,
             asid_mode: self.asid_mode,
@@ -379,9 +491,10 @@ impl<S: Sink> MemorySystem<S> {
         &self.label
     }
 
-    /// The raw counts accumulated so far.
-    pub fn counts(&self) -> &RawCounts {
-        &self.counts
+    /// The raw counts accumulated so far (the first back end's, when
+    /// there are several).
+    pub fn counts(&self) -> RawCounts {
+        self.first.merged(&self.counts)
     }
 
     /// Enables or disables the context-switch model after construction:
@@ -434,11 +547,21 @@ impl<S: Sink> MemorySystem<S> {
         }
     }
 
-    /// One user reference: translation (TLB systems), the cache lookup,
-    /// and softvm's L2-miss servicing (NOTLB systems).
+    /// One user reference: translation (TLB systems), the cache lookup in
+    /// every back end, and softvm's L2-miss servicing (NOTLB systems).
+    #[inline]
     fn reference(&mut self, addr: MAddr, kind: AccessKind) {
         self.translate(addr, kind);
-        let class = self.count_cache_access(addr, kind);
+        // The first back end's class decides: a NOTLB system, whose walks
+        // follow its cache misses, never has another.
+        let class = self.first.access(addr, kind);
+        if !self.rest.is_empty() {
+            BackEnd::access_all(&mut self.rest, addr, kind);
+        }
+        if S::ENABLED && class.missed_l1() {
+            let now = self.counts.user_instrs;
+            self.sink.emit(now, &Event::CacheMiss { class: kind, filled_from: class });
+        }
         if class == MissClass::Memory {
             self.service_l2_miss(addr, kind);
         }
@@ -462,13 +585,15 @@ impl<S: Sink> MemorySystem<S> {
                         },
                     );
                 }
-                let before = S::ENABLED.then(|| WalkCostSnapshot::of(&self.counts));
+                let before =
+                    S::ENABLED.then(|| WalkCostSnapshot::of(&self.counts, &self.first.counts));
                 // The handler's own data references go through the D-TLB
                 // regardless of which TLB missed. The walker always sees
                 // the full (tagged) page number: page tables are
                 // per-process even when the TLB is not.
                 let mut ctx = WalkCtx {
-                    caches: &mut self.caches,
+                    first: &mut self.first,
+                    rest: &mut self.rest,
                     dtlb: Some(dtlb),
                     counts: &mut self.counts,
                     asid_mode: self.asid_mode,
@@ -477,7 +602,8 @@ impl<S: Sink> MemorySystem<S> {
                 walker.refill(&mut ctx, addr.vpn(), kind);
                 if S::ENABLED {
                     if let Some(before) = before {
-                        let (cycles, memrefs) = before.charge(WalkCostSnapshot::of(&self.counts));
+                        let (cycles, memrefs) =
+                            before.charge(WalkCostSnapshot::of(&self.counts, &self.first.counts));
                         self.sink.emit(
                             now,
                             &Event::WalkComplete { level: HandlerLevel::User, cycles, memrefs },
@@ -502,9 +628,10 @@ impl<S: Sink> MemorySystem<S> {
     fn service_l2_miss(&mut self, addr: MAddr, kind: AccessKind) {
         if let Mmu::NoTlb { walker } = &mut self.mmu {
             let now = self.counts.user_instrs;
-            let before = S::ENABLED.then(|| WalkCostSnapshot::of(&self.counts));
+            let before = S::ENABLED.then(|| WalkCostSnapshot::of(&self.counts, &self.first.counts));
             let mut ctx = WalkCtx {
-                caches: &mut self.caches,
+                first: &mut self.first,
+                rest: &mut self.rest,
                 dtlb: None,
                 counts: &mut self.counts,
                 asid_mode: self.asid_mode,
@@ -513,7 +640,8 @@ impl<S: Sink> MemorySystem<S> {
             walker.refill(&mut ctx, addr.vpn(), kind);
             if S::ENABLED {
                 if let Some(before) = before {
-                    let (cycles, memrefs) = before.charge(WalkCostSnapshot::of(&self.counts));
+                    let (cycles, memrefs) =
+                        before.charge(WalkCostSnapshot::of(&self.counts, &self.first.counts));
                     self.sink.emit(
                         now,
                         &Event::WalkComplete { level: HandlerLevel::User, cycles, memrefs },
@@ -521,29 +649,6 @@ impl<S: Sink> MemorySystem<S> {
                 }
             }
         }
-    }
-
-    fn count_cache_access(&mut self, addr: MAddr, kind: AccessKind) -> MissClass {
-        let (class, l1_ctr, l2_ctr) = if kind == AccessKind::Fetch {
-            (self.caches.fetch(addr), &mut self.counts.l1i_misses, &mut self.counts.l2i_misses)
-        } else {
-            (self.caches.data(addr), &mut self.counts.l1d_misses, &mut self.counts.l2d_misses)
-        };
-        match class {
-            MissClass::L1Hit => {}
-            MissClass::L2Hit => *l1_ctr += 1,
-            MissClass::Memory => {
-                *l1_ctr += 1;
-                *l2_ctr += 1;
-            }
-        }
-        if S::ENABLED && class.missed_l1() {
-            self.sink.emit(
-                self.counts.user_instrs,
-                &Event::CacheMiss { class: kind, filled_from: class },
-            );
-        }
-        class
     }
 
     /// Runs at most `limit` instructions from `trace`; returns how many
@@ -567,7 +672,10 @@ impl<S: Sink> MemorySystem<S> {
     /// and measurement.
     pub fn reset_counters(&mut self) {
         self.counts = RawCounts::default();
-        self.caches.reset_counters();
+        for back in std::iter::once(&mut self.first).chain(&mut self.rest) {
+            back.counts = RawCounts::default();
+            back.caches.reset_counters();
+        }
         if let Mmu::Tlb { itlb, dtlb, .. } = &mut self.mmu {
             itlb.reset_counters();
             dtlb.reset_counters();
@@ -579,16 +687,26 @@ impl<S: Sink> MemorySystem<S> {
         }
     }
 
-    /// Snapshots a [`SimReport`] of everything counted so far.
+    /// Snapshots a [`SimReport`] of everything counted so far (the first
+    /// back end's, when there are several).
     pub fn report(&self) -> SimReport {
+        self.report_of(&self.first)
+    }
+
+    /// One [`SimReport`] per back end, in the order they were added.
+    pub fn reports(&self) -> Vec<SimReport> {
+        std::iter::once(&self.first).chain(&self.rest).map(|back| self.report_of(back)).collect()
+    }
+
+    fn report_of(&self, back: &BackEnd) -> SimReport {
         let (itlb, dtlb) = match &self.mmu {
             Mmu::Tlb { itlb, dtlb, .. } => (Some(itlb.counters()), Some(dtlb.counters())),
             _ => (None, None),
         };
-        let cache_counters = self.caches.counters();
+        let cache_counters = back.caches.counters();
         SimReport {
             system: self.label.clone(),
-            counts: self.counts,
+            counts: back.merged(&self.counts),
             itlb,
             dtlb,
             icache: cache_counters.instruction_side(),
@@ -851,6 +969,15 @@ mod tests {
         assert_eq!(snap.walk_cycles.count(), snap.counters.walks[0]);
         assert_eq!(instr.obs.as_ref(), Some(&snap));
         assert!(snap.walk_cycles.count() > 0, "gcc must take TLB misses");
+    }
+
+    #[test]
+    #[should_panic(expected = "one cache back end")]
+    fn an_instrumented_system_measures_one_geometry() {
+        let config = SimConfig::paper_default(SystemKind::Ultrix);
+        let mut system = config.build().unwrap();
+        assert!(system.add_back_end(config.build_caches().unwrap()));
+        let _ = system.with_sink(vm_obs::StatsSink::new());
     }
 
     #[test]

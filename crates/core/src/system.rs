@@ -425,21 +425,71 @@ impl SimConfig {
         }
     }
 
-    /// Builds the memory system.
+    /// Whether `other` builds the same front end as `self` — the same
+    /// system, TLBs, ASID mode, flush interval, physical memory and seed,
+    /// differing at most in cache geometry (sizes, lines, associativity,
+    /// unified L2) — and that front end has TLBs whose walks one pass can
+    /// share among the geometries ([`MemorySystem::add_back_end`]).
+    pub fn shares_front_end_with(&self, other: &SimConfig) -> bool {
+        let geometry_of_self = SimConfig {
+            l1_bytes: self.l1_bytes,
+            l1_line: self.l1_line,
+            l2_bytes: self.l2_bytes,
+            l2_line: self.l2_line,
+            associativity: self.associativity,
+            unified_l2: self.unified_l2,
+            ..*other
+        };
+        self.system.uses_tlb() && geometry_of_self == *self
+    }
+
+    /// Host bytes the built front end holds before its first step: the
+    /// hashed and inverted walkers' bucket arrays (the hierarchical
+    /// walkers allocate as pages are touched; the TLBs are small).
+    pub fn front_end_bytes(&self) -> u64 {
+        match self.system {
+            SystemKind::PaRisc | SystemKind::Hybrid => {
+                HashedConfig::scaled(self.phys_mem_bytes).table_bytes()
+            }
+            SystemKind::InvertedHat => InvertedConfig::new(self.phys_mem_bytes).table_bytes(),
+            _ => 0,
+        }
+    }
+
+    /// Host bytes the built caches hold: `vm-cache` keeps one `u64` tag
+    /// per line, written when the cache is built.
+    pub fn back_end_bytes(&self) -> u64 {
+        let tag = std::mem::size_of::<u64>() as u64;
+        // Two L1s, and L2 lines worth `2 * l2_bytes` whether split or
+        // unified.
+        (2 * (self.l1_bytes / self.l1_line) + 2 * self.l2_bytes / self.l2_line) * tag
+    }
+
+    /// Builds the cache complement alone: split L1s over split L2s, or
+    /// over one unified L2 of `2 * l2_bytes`.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the cache or TLB geometry is invalid.
-    pub fn build(&self) -> Result<MemorySystem, BuildError> {
+    /// Returns [`BuildError`] if the cache geometry is invalid.
+    pub fn build_caches(&self) -> Result<CacheSystem, BuildError> {
         let l1 = CacheConfig::set_associative(self.l1_bytes, self.l1_line, self.associativity)?;
-        let caches = if self.unified_l2 {
+        Ok(if self.unified_l2 {
             let l2 =
                 CacheConfig::set_associative(2 * self.l2_bytes, self.l2_line, self.associativity)?;
             CacheSystem::unified(Cache::new(l1), Cache::new(l1), Cache::new(l2))
         } else {
             let l2 = CacheConfig::set_associative(self.l2_bytes, self.l2_line, self.associativity)?;
             CacheSystem::split(Cache::new(l1), Cache::new(l1), Cache::new(l2), Cache::new(l2))
-        };
+        })
+    }
+
+    /// Builds the memory system.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] if the cache or TLB geometry is invalid.
+    pub fn build(&self) -> Result<MemorySystem, BuildError> {
+        let caches = self.build_caches()?;
 
         let make_tlb = |salt: u64| -> Result<Tlb, TlbConfigError> {
             let cfg =

@@ -1,9 +1,17 @@
 //! Parallel execution of simulation jobs for the experiment drivers, on
-//! the scheduling core every sweep shares ([`vm_explore::run_items`]):
+//! the scheduling core every sweep shares ([`vm_explore::run_batches`]):
 //! results in job order, a heartbeat with throughput and the fraction of
 //! the planned trace simulated, and per-job completion lines at Verbose.
 //!
-//! [`run_jobs_checked`] is the fault-isolated entry point: each job runs
+//! Jobs that replay one stream (same workload, trace seed and run
+//! lengths) run as a lockstep group: the stream is synthesized once, in
+//! chunks of [`CHUNK`] records, and every member steps through each chunk
+//! in turn. Members whose configurations differ only in cache geometry
+//! also share one front end, TLBs and walker, each keeping its own caches
+//! ([`MemorySystem::add_back_end`]). Every member's report equals its own
+//! [`vm_core::simulate`] run; [`GROUP_BYTES`] bounds what a group holds.
+//!
+//! [`run_jobs_checked`] is the fault-isolated entry point: each group runs
 //! under `catch_unwind` and failures come back as structured
 //! [`SimError`]s. [`run_jobs`] is the strict facade the experiment
 //! drivers use — their jobs are built from validated presets, so a
@@ -12,12 +20,25 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use vm_core::{simulate, SimConfig, SimReport};
-use vm_explore::run_items;
+use vm_core::{BuildError, MemorySystem, SimConfig, SimReport};
+use vm_explore::run_batches;
 pub use vm_explore::RunScale;
 use vm_harden::{FailureKind, SimError};
 use vm_obs::Reporter;
-use vm_trace::WorkloadSpec;
+use vm_trace::{InstrRecord, WorkloadSpec};
+
+/// The most host bytes one lockstep group may hold: its generator
+/// ([`WorkloadSpec::generator_bytes`]), each front end's walker tables
+/// ([`SimConfig::front_end_bytes`]) and each member's cache tags
+/// ([`SimConfig::back_end_bytes`]). A job that would take a group past it
+/// starts a new group, so a job over it on its own runs alone. At 768 KiB
+/// the `paper-quick` benchmark's peak RSS stays within about 10% of
+/// running each job alone (DESIGN.md §5).
+pub const GROUP_BYTES: u64 = 768 << 10;
+
+/// Records synthesized per lockstep step. A chunk (24 KiB) stays in the
+/// host's caches while every member of the group steps through it.
+pub const CHUNK: usize = 1 << 10;
 
 /// One simulation to run: a system configuration against a workload.
 #[derive(Debug, Clone)]
@@ -43,6 +64,13 @@ impl Job {
         scale: RunScale,
     ) -> Job {
         Job { label: label.into(), config, workload, trace_seed: 1, scale }
+    }
+
+    /// Whether `other` replays the same stream.
+    fn same_stream(&self, other: &Job) -> bool {
+        self.trace_seed == other.trace_seed
+            && self.scale == other.scale
+            && self.workload == other.workload
     }
 }
 
@@ -71,21 +99,99 @@ pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Vec<Outcome> {
     run_jobs_checked(jobs, threads, &Reporter::global(), "sweep").unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs one job, mapping every failure mode — bad workload, rejected
-/// config, panic mid-simulation — to a structured [`SimError`].
-fn run_job_isolated(job: &Job) -> Result<Outcome, SimError> {
-    let trace = job
-        .workload
-        .build(job.trace_seed)
-        .map_err(|e| SimError::new(job.label.clone(), FailureKind::Workload, e.to_string()))?;
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        simulate(&job.config, trace, job.scale.warmup, job.scale.measure)
-            .map_err(|e| SimError::new(job.label.clone(), FailureKind::Build, e.to_string()))
-    }));
-    match run {
-        Ok(simulated) => Ok(Outcome { job: job.clone(), report: simulated? }),
-        Err(payload) => Err(SimError::from_panic(job.label.clone(), payload)),
+/// Splits the job indices into lockstep groups, each in ascending order:
+/// a job joins the first earlier group that replays its stream and has
+/// room for it under [`GROUP_BYTES`], paying only its caches where a
+/// member already built its front end. Groups come out ordered by their
+/// first job.
+fn plan_groups(jobs: &[Job]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<(Vec<usize>, u64)> = Vec::new();
+    for (ix, job) in jobs.iter().enumerate() {
+        let cost = |members: &[usize]| {
+            let shared = members.iter().any(|&m| jobs[m].config.shares_front_end_with(&job.config));
+            job.config.back_end_bytes() + if shared { 0 } else { job.config.front_end_bytes() }
+        };
+        let room = groups.iter().position(|(members, bytes)| {
+            jobs[members[0]].same_stream(job) && bytes + cost(members) <= GROUP_BYTES
+        });
+        match room {
+            Some(g) => {
+                groups[g].1 += cost(&groups[g].0);
+                groups[g].0.push(ix);
+            }
+            None => groups.push((vec![ix], job.workload.generator_bytes() + cost(&[]))),
+        }
     }
+    groups.into_iter().map(|(members, _)| members).collect()
+}
+
+/// A front end and the group positions of the members it feeds, in
+/// back-end order.
+type Lane = (MemorySystem, Vec<usize>);
+
+/// Steps every lane through the next `instrs` records of `trace`, a chunk
+/// at a time.
+fn lockstep(
+    trace: &mut impl Iterator<Item = InstrRecord>,
+    lanes: &mut [Lane],
+    chunk: &mut Vec<InstrRecord>,
+    mut instrs: u64,
+) {
+    while instrs > 0 {
+        chunk.clear();
+        chunk.extend(trace.take(instrs.min(CHUNK as u64) as usize));
+        if chunk.is_empty() {
+            return;
+        }
+        for (system, _) in lanes.iter_mut() {
+            chunk.iter().for_each(|rec| system.step(rec));
+        }
+        instrs -= chunk.len() as u64;
+    }
+}
+
+/// Runs one lockstep group: synthesizes the stream once, builds one front
+/// end per distinct front end among the members (a member whose walker
+/// shares rides an earlier member's as another back end), warms every
+/// member, resets, and measures. Returns the outcomes in group order, or
+/// the group position of the failing member and its failure; a panic is
+/// charged to the group's first member.
+fn run_group(jobs: &[Job], group: &[usize]) -> Result<Vec<Outcome>, (usize, SimError)> {
+    let lead = &jobs[group[0]];
+    let mut trace = lead.workload.build(lead.trace_seed).map_err(|e| {
+        (0, SimError::new(lead.label.clone(), FailureKind::Workload, e.to_string()))
+    })?;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut lanes: Vec<Lane> = Vec::new();
+        for (pos, &ix) in group.iter().enumerate() {
+            let config = &jobs[ix].config;
+            let failed = |e: BuildError| {
+                (pos, SimError::new(jobs[ix].label.clone(), FailureKind::Build, e.to_string()))
+            };
+            let front = lanes.iter().position(|(_, members)| {
+                jobs[group[members[0]]].config.shares_front_end_with(config)
+            });
+            if let Some(l) = front {
+                if lanes[l].0.add_back_end(config.build_caches().map_err(failed)?) {
+                    lanes[l].1.push(pos);
+                    continue;
+                }
+            }
+            lanes.push((config.build().map_err(failed)?, vec![pos]));
+        }
+        let mut chunk = Vec::with_capacity(CHUNK);
+        lockstep(&mut trace, &mut lanes, &mut chunk, lead.scale.warmup);
+        lanes.iter_mut().for_each(|(system, _)| system.reset_counters());
+        lockstep(&mut trace, &mut lanes, &mut chunk, lead.scale.measure);
+        let mut outcomes: Vec<Option<Outcome>> = group.iter().map(|_| None).collect();
+        for (system, members) in &lanes {
+            for (report, &pos) in system.reports().into_iter().zip(members) {
+                outcomes[pos] = Some(Outcome { job: jobs[group[pos]].clone(), report });
+            }
+        }
+        Ok(outcomes.into_iter().flatten().collect())
+    }));
+    run.unwrap_or_else(|payload| Err((0, SimError::from_panic(lead.label.clone(), payload))))
 }
 
 /// Fault-isolated [`run_jobs`] with an explicit reporter and heartbeat
@@ -93,7 +199,8 @@ fn run_job_isolated(job: &Job) -> Result<Outcome, SimError> {
 /// among those that ran. Jobs claimed after the first failure are
 /// abandoned, neither simulated nor reported (experiment tables need
 /// every cell, so partial sweeps have no value here — unlike `explore`
-/// sweeps, where each point stands alone).
+/// sweeps, where each point stands alone); so are the other members of a
+/// failed group.
 ///
 /// # Errors
 ///
@@ -105,18 +212,30 @@ pub fn run_jobs_checked(
     label: &str,
 ) -> Result<Vec<Outcome>, SimError> {
     let failed = AtomicBool::new(false);
+    let groups = plan_groups(&jobs);
     let instrs = |job: &Job| job.scale.warmup + job.scale.measure;
-    let ran = run_items(&jobs, threads, reporter, label, instrs, |job| {
+    let ran = run_batches(&jobs, &groups, threads, reporter, label, instrs, |group| {
+        let mut out: Vec<_> = group.iter().map(|_| None).collect();
         if failed.load(Ordering::Relaxed) {
-            return None;
+            return out;
         }
-        let outcome = run_job_isolated(job);
-        failed.fetch_or(outcome.is_err(), Ordering::Relaxed);
-        let status = if outcome.is_ok() { "done" } else { "FAILED" };
-        Some((outcome, job.label.as_str(), status))
+        let name = |pos: usize| jobs[group[pos]].label.as_str();
+        match run_group(&jobs, group) {
+            Ok(outcomes) => {
+                for (pos, outcome) in outcomes.into_iter().enumerate() {
+                    out[pos] = Some((Ok(outcome), name(pos), "done"));
+                }
+            }
+            Err((pos, e)) => {
+                failed.store(true, Ordering::Relaxed);
+                out[pos] = Some((Err(e), name(pos), "FAILED"));
+            }
+        }
+        out
     });
-    // Jobs are claimed in index order, so the abandoned (`None`) jobs all
-    // sit behind the first failure, which ends the collect.
+    // Every abandoned (`None`) job sits in a failed group or was claimed
+    // after a failure, so an error is present, and the first one in job
+    // order ends the collect.
     ran.into_iter().flatten().collect()
 }
 

@@ -425,6 +425,27 @@ pub fn run_items<'a, T: Sync, R: Send>(
     instrs: impl Fn(&T) -> u64 + Sync,
     work: impl Fn(&'a T) -> Option<(R, &'a str, &'static str)> + Sync,
 ) -> Vec<Option<R>> {
+    let batches: Vec<Vec<usize>> = (0..items.len()).map(|i| vec![i]).collect();
+    run_batches(items, &batches, threads, reporter, label, instrs, |batch| {
+        vec![work(&items[batch[0]])]
+    })
+}
+
+/// [`run_items`] with the items claimed a batch at a time: `batches`
+/// partitions the item indices, each batch in ascending order, and
+/// `work` gets one batch and returns one entry per index in it, each
+/// `None` (declined) or a result with its label and status word. Every
+/// finished item still gets its own completion line, counts toward the
+/// heartbeat and lands at its own index. Batches are claimed in order.
+pub fn run_batches<'a, T: Sync, R: Send>(
+    items: &'a [T],
+    batches: &[Vec<usize>],
+    threads: usize,
+    reporter: &Reporter,
+    label: &str,
+    instrs: impl Fn(&T) -> u64 + Sync,
+    work: impl Fn(&[usize]) -> Vec<Option<(R, &'a str, &'static str)>> + Sync,
+) -> Vec<Option<R>> {
     let planned: u64 = items.iter().map(&instrs).sum();
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
@@ -448,23 +469,25 @@ pub fn run_items<'a, T: Sync, R: Send>(
         let _quiet = quiet_panics();
         let mut finished = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { break finished };
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            let Some(batch) = batches.get(b) else { break finished };
             let t0 = Instant::now();
-            let Some((result, name, status)) = work(item) else { continue };
-            simulated.fetch_add(instrs(item), Ordering::Relaxed);
-            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-            reporter.detail(format!(
-                "  [{label}] {k}/{} `{name}` {status} in {:.2}s",
-                items.len(),
-                t0.elapsed().as_secs_f64()
-            ));
-            finished.push((i, result));
+            for (&i, ran) in batch.iter().zip(work(batch)) {
+                let Some((result, name, status)) = ran else { continue };
+                simulated.fetch_add(instrs(&items[i]), Ordering::Relaxed);
+                let k = done.fetch_add(1, Ordering::Relaxed) + 1;
+                reporter.detail(format!(
+                    "  [{label}] {k}/{} `{name}` {status} in {:.2}s",
+                    items.len(),
+                    t0.elapsed().as_secs_f64()
+                ));
+                finished.push((i, result));
+            }
         }
     };
     let joined = std::thread::scope(|scope| {
         let workers: Vec<_> =
-            (0..threads.max(1).min(items.len())).map(|_| scope.spawn(worker)).collect();
+            (0..threads.max(1).min(batches.len())).map(|_| scope.spawn(worker)).collect();
         reporter.with_heartbeat(HEARTBEAT_PERIOD, beat, || {
             workers.into_iter().map(|w| w.join()).collect::<Vec<_>>()
         })
@@ -956,6 +979,27 @@ mod tests {
         let want: Vec<Option<u64>> = items.iter().map(|&i| (i % 5 != 0).then_some(2 * i)).collect();
         for threads in [1, 3, 8] {
             let out = run_items(&items, threads, &Reporter::silent(), "test", |_| 1, work);
+            assert_eq!(out, want, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn batched_items_land_at_their_own_indices() {
+        let items: Vec<u64> = (0..7).collect();
+        let batches = vec![vec![0, 3, 5], vec![1], vec![2, 6], vec![4]];
+        // Each batch declines its last item; the rest double their input.
+        let work = |batch: &[usize]| {
+            let last = batch.len() - 1;
+            batch
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (k != last).then_some((2 * items[i], "item", "done")))
+                .collect()
+        };
+        let want = vec![Some(0), None, Some(4), Some(6), None, None, None];
+        for threads in [1, 3] {
+            let out =
+                run_batches(&items, &batches, threads, &Reporter::silent(), "test", |_| 1, work);
             assert_eq!(out, want, "{threads} workers");
         }
     }

@@ -43,8 +43,8 @@ pub mod sweep;
 pub use analysis::{pareto_frontier, sensitivity, AxisSensitivity};
 pub use attest::{context_for, point_context, verify_in_context, verify_sealed};
 pub use exec::{
-    run_items, run_sweep, run_sweep_hardened, tlb_area_bytes, ExecConfig, HardenPolicy,
-    PointResult, RunScale, SweepOutcome, SweepPointOutcome,
+    run_batches, run_items, run_sweep, run_sweep_hardened, tlb_area_bytes, ExecConfig,
+    HardenPolicy, PointResult, RunScale, SweepOutcome, SweepPointOutcome,
 };
 pub use journal::{
     plan_fingerprint, result_from_value, result_to_value, run_header, seeded_from_journal,

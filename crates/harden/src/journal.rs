@@ -28,7 +28,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use vm_obs::json::{self, Value};
-use vm_trace::wire::Fnv1a;
+use vm_trace::wire::{hex64, parse_hex64, Fnv1a};
 
 use crate::error::{FailureKind, PointOutcome, SimError};
 
@@ -123,7 +123,7 @@ impl RunHeader {
             ("j", "run".into()),
             ("version", self.version.into()),
             ("points", self.points.into()),
-            ("fingerprint", format!("{:016x}", self.fingerprint).into()),
+            ("fingerprint", hex64(self.fingerprint).into()),
             ("warmup", self.warmup.into()),
             ("measure", self.measure.into()),
         ])
@@ -136,8 +136,12 @@ impl RunHeader {
         let fingerprint = v
             .get("fingerprint")
             .and_then(Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or("run header missing `fingerprint`")?;
+        // The strict payload codec: a non-canonical rendering is refused,
+        // never normalized.
+        let fingerprint = parse_hex64(fingerprint).ok_or_else(|| {
+            format!("run header `fingerprint` `{fingerprint}` is not 16 lowercase hex digits")
+        })?;
         Ok(RunHeader {
             version: need_u64("version")?,
             points: need_u64("points")?,
@@ -566,6 +570,24 @@ mod tests {
         assert!(j.entries[0].to_error().is_none());
         let e = j.entries[1].to_error().unwrap();
         assert_eq!((e.kind, e.attempts), (FailureKind::Io, 3));
+    }
+
+    #[test]
+    fn a_header_fingerprint_must_be_canonical_hex64() {
+        let mut w = JournalWriter::new(Vec::new(), 1);
+        w.header(&RunHeader { fingerprint: 0x0628_b0d1_ed03_803a, ..header() });
+        let text = String::from_utf8(w.finish().unwrap()).unwrap();
+        assert!(text.contains("\"fingerprint\":\"0628b0d1ed03803a\""), "{text}");
+        let j = Journal::parse(&text).unwrap();
+        assert_eq!(j.header.map(|h| h.fingerprint), Some(0x0628_b0d1_ed03_803a));
+        for bad in ["+628b0d1ed03803a", "F628B0D1ED03803A", "3a"] {
+            let err = Journal::parse(&text.replace("0628b0d1ed03803a", bad))
+                .expect_err("a non-canonical fingerprint must not load");
+            assert_eq!(
+                err,
+                format!("line 1: run header `fingerprint` `{bad}` is not 16 lowercase hex digits")
+            );
+        }
     }
 
     #[test]

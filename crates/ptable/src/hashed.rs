@@ -61,6 +61,12 @@ impl HashedConfig {
         self.mode = RefillMode::PAPER_HARDWARE;
         self
     }
+
+    /// Host bytes a new walker holds before its first walk: one empty
+    /// chain per table slot.
+    pub fn table_bytes(self) -> u64 {
+        self.entries * std::mem::size_of::<Vec<ChainedPte>>() as u64
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -190,6 +196,11 @@ impl TlbRefill for HashedWalker {
             RefillMode::Software => "pa-risc",
             RefillMode::Hardware { .. } => "hybrid",
         }
+    }
+
+    /// The walk never reads where a PTE load was satisfied.
+    fn shares_front_end(&self) -> bool {
+        true
     }
 
     fn refill(&mut self, ctx: &mut dyn WalkContext, vpn: Vpn, _kind: AccessKind) {

@@ -65,6 +65,12 @@ impl InvertedConfig {
     pub fn slots(&self) -> u64 {
         (self.phys_mem_bytes >> PAGE_SHIFT).max(1).next_power_of_two()
     }
+
+    /// Host bytes a new walker holds before its first walk: one empty
+    /// chain per anchor slot.
+    pub fn table_bytes(&self) -> u64 {
+        self.slots() * std::mem::size_of::<Vec<Vpn>>() as u64
+    }
 }
 
 /// The classical inverted page table walker.
@@ -165,6 +171,11 @@ impl TlbRefill for InvertedWalker {
             RefillMode::Software => "inverted-hat",
             RefillMode::Hardware { .. } => "inverted-hat-hw",
         }
+    }
+
+    /// The walk never reads where a PTE load was satisfied.
+    fn shares_front_end(&self) -> bool {
+        true
     }
 
     fn refill(&mut self, ctx: &mut dyn WalkContext, vpn: Vpn, _kind: AccessKind) {

@@ -76,6 +76,11 @@ impl TlbRefill for MachWalker {
         "mach"
     }
 
+    /// The walk never reads where a PTE load was satisfied.
+    fn shares_front_end(&self) -> bool {
+        true
+    }
+
     fn refill(&mut self, ctx: &mut dyn WalkContext, vpn: Vpn, _kind: AccessKind) {
         ctx.interrupt(HandlerLevel::User);
         ctx.exec_handler(

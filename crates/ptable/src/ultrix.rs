@@ -68,6 +68,11 @@ impl TlbRefill for UltrixWalker {
         "ultrix"
     }
 
+    /// The walk never reads where a PTE load was satisfied.
+    fn shares_front_end(&self) -> bool {
+        true
+    }
+
     fn refill(&mut self, ctx: &mut dyn WalkContext, vpn: Vpn, _kind: AccessKind) {
         self.mode.dispatch_level(
             ctx,

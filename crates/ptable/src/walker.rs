@@ -132,6 +132,15 @@ pub trait TlbRefill {
     /// Resets any walker-internal state (hash-table contents, frame
     /// assignments) to the post-boot state. Default: stateless, no-op.
     fn reset(&mut self) {}
+
+    /// Whether one walk may serve several cache geometries at once: true
+    /// only if `refill` never reads the [`MissClass`] that
+    /// [`WalkContext::pte_load`] returns, so the walk is the same whatever
+    /// caches sit behind it. The simulator then feeds every geometry from
+    /// one walker and one pair of TLBs. Default: cannot share.
+    fn shares_front_end(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

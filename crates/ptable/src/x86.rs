@@ -88,6 +88,11 @@ impl TlbRefill for X86Walker {
         "intel"
     }
 
+    /// The walk never reads where a PTE load was satisfied.
+    fn shares_front_end(&self) -> bool {
+        true
+    }
+
     fn refill(&mut self, ctx: &mut dyn WalkContext, vpn: Vpn, _kind: AccessKind) {
         // No interrupt, no handler code: the pipeline freezes for the
         // state machine's sequential work.

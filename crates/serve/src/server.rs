@@ -922,45 +922,61 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // than its quota no matter how many uploads it opens.
     let mut quota = ConnQuota::default();
     while let Some(line) = conn.next_line() {
-        // `watch` upgrades the connection to a one-way frame stream and
-        // consumes it; everything else stays request/response.
-        if let Ok(Request::Watch { job }) = parse_request(&line) {
-            watch_stream(shared, &mut conn, job);
-            return;
-        }
-        // `drain` is acked before the flag flips: the accept loop exits
-        // (and with it, eventually, the process) the instant `draining`
-        // is set, so a response written afterwards races the daemon's
-        // death and the requester can read EOF instead of its ack. The
-        // connection stays open — a drain summary or a late (shed)
-        // request may still follow on it.
-        if let Ok(Request::Drain) = parse_request(&line) {
-            let pending = shared.lock_state().queue.len() as u64;
-            let resp = ok_response([("draining", Value::Bool(true)), ("pending", pending.into())]);
-            let acked = conn.write_line(&resp).is_ok();
-            initiate_drain(shared);
-            if !acked {
+        let response = match respond(shared, &mut quota, &line) {
+            Answer::Reply(response) => response,
+            // `watch` upgrades the connection to a one-way frame stream
+            // and consumes it; everything else stays request/response.
+            Answer::Watch(job) => {
+                watch_stream(shared, &mut conn, job);
                 return;
             }
-            continue;
-        }
-        let response = respond(shared, &mut quota, &line);
+            // `drain` is acked before the flag flips: the accept loop
+            // exits (and with it, eventually, the process) the instant
+            // `draining` is set, so a response written afterwards races
+            // the daemon's death and the requester can read EOF instead
+            // of its ack. The connection stays open — a drain summary or
+            // a late (shed) request may still follow on it.
+            Answer::Drain => {
+                let pending = shared.lock_state().queue.len() as u64;
+                let resp =
+                    ok_response([("draining", Value::Bool(true)), ("pending", pending.into())]);
+                let acked = conn.write_line(&resp).is_ok();
+                initiate_drain(shared);
+                if !acked {
+                    return;
+                }
+                continue;
+            }
+        };
         if conn.write_line(&response).is_err() {
             return;
         }
     }
 }
 
-/// Parses and dispatches one request line. A handler panic answers
-/// `500`; the connection (and daemon) live on.
-fn respond(shared: &Arc<Shared>, quota: &mut ConnQuota, line: &str) -> Value {
+/// What one request line asks of its connection.
+enum Answer {
+    /// A response to write back.
+    Reply(Value),
+    /// `watch`: stream frames for one job (or all) on this connection.
+    Watch(Option<u64>),
+    /// `drain`: the connection acks it before the flag flips.
+    Drain,
+}
+
+/// Parses (once) and dispatches one request line. A panic in either
+/// answers `500`; the connection (and daemon) live on.
+fn respond(shared: &Arc<Shared>, quota: &mut ConnQuota, line: &str) -> Answer {
     let handled = catch_unwind(AssertUnwindSafe(|| {
         parse_request(line).and_then(|req| dispatch(shared, quota, req))
     }));
     match handled {
-        Ok(Ok(v)) => v,
-        Ok(Err(e)) => proto::error_response(&e),
-        Err(_) => proto::error_response(&ProtoError::new(500, "internal error handling request")),
+        Ok(Ok(answer)) => answer,
+        Ok(Err(e)) => Answer::Reply(proto::error_response(&e)),
+        Err(_) => Answer::Reply(proto::error_response(&ProtoError::new(
+            500,
+            "internal error handling request",
+        ))),
     }
 }
 
@@ -968,8 +984,11 @@ fn dispatch(
     shared: &Arc<Shared>,
     quota: &mut ConnQuota,
     req: Request,
-) -> Result<Value, ProtoError> {
-    match req {
+) -> Result<Answer, ProtoError> {
+    let reply = match req {
+        // The connection carries these out itself.
+        Request::Watch { job } => return Ok(Answer::Watch(job)),
+        Request::Drain => return Ok(Answer::Drain),
         Request::Submit(submit) => handle_submit(shared, submit),
         Request::UploadBegin { name, bytes, fnv } => {
             handle_upload_begin(shared, quota, &name, bytes, fnv)
@@ -989,24 +1008,8 @@ fn dispatch(
         Request::Cancel { job } => handle_cancel(shared, job),
         Request::Health => Ok(handle_health(shared)),
         Request::Stats => Ok(handle_stats(shared)),
-        // Normally intercepted in `handle_connection` so the ack is on
-        // the wire before the accept loop is released; kept functional
-        // here as a safety net for any future dispatch path.
-        Request::Drain => {
-            initiate_drain(shared);
-            let st = shared.lock_state();
-            Ok(ok_response([
-                ("draining", Value::Bool(true)),
-                ("pending", (st.queue.len() as u64).into()),
-            ]))
-        }
-        // Intercepted in handle_connection before dispatch; kept
-        // exhaustive so a future refactor cannot silently drop it.
-        Request::Watch { .. } => Err(ProtoError::new(
-            400,
-            "watch upgrades its connection to a stream and cannot be dispatched here".to_owned(),
-        )),
-    }
+    };
+    reply.map(Answer::Reply)
 }
 
 /// Serves one `watch` subscription: ack, then frames until the job

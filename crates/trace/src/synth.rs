@@ -99,6 +99,26 @@ pub struct SyntheticTrace {
     cur_idx: u32,
 }
 
+impl WorkloadSpec {
+    /// Host bytes the generator [`WorkloadSpec::build`] returns holds: a
+    /// layout, a Zipf rank and a permutation slot per function, and a
+    /// Zipf rank and a permutation slot per page of each random-page
+    /// region (vortex's 160 MB heap alone is 480 KiB).
+    pub fn generator_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let per_fn = size_of::<FnLayout>() + size_of::<f64>() + size_of::<u32>();
+        let pages: u64 = self
+            .data
+            .regions
+            .iter()
+            .filter(|r| matches!(r.pattern, AccessPattern::RandomPage { .. }))
+            .map(|r| (r.size / PAGE_SIZE).max(1))
+            .sum();
+        u64::from(self.code.functions) * per_fn as u64
+            + pages * (size_of::<f64>() + size_of::<u32>()) as u64
+    }
+}
+
 impl SyntheticTrace {
     /// Instantiates the generator. Private to the crate: construct via
     /// [`WorkloadSpec::build`], which validates first.
