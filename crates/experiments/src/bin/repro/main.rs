@@ -1302,6 +1302,7 @@ fn run_experiment(
                 presets::ijpeg_spec(),
             ]);
             cfg.scale = opts.scale;
+            cfg.threads = opts.threads;
             let r = multiprog::run(&cfg);
             println!("{}", r.render());
             save(opts, name, &r.to_csv());

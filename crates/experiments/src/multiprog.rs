@@ -15,6 +15,8 @@
 
 use vm_core::cost::CostModel;
 use vm_core::{simulate, AsidMode, SimConfig, SystemKind};
+use vm_explore::run_items;
+use vm_obs::Reporter;
 use vm_trace::{Multiprogram, WorkloadSpec};
 
 use crate::claim::Claim;
@@ -32,6 +34,8 @@ pub struct Config {
     pub systems: Vec<SystemKind>,
     /// Run lengths.
     pub scale: RunScale,
+    /// Worker threads.
+    pub threads: usize,
 }
 
 impl Config {
@@ -42,6 +46,7 @@ impl Config {
             quanta: vec![500_000, 100_000, 20_000],
             systems: vec![SystemKind::Ultrix, SystemKind::Intel],
             scale: RunScale::DEFAULT,
+            threads: 1,
         }
     }
 }
@@ -80,28 +85,37 @@ pub struct Result {
 /// definitions use validated presets.
 pub fn run(config: &Config) -> Result {
     let cost = CostModel::default();
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     for &system in &config.systems {
         for &quantum in &config.quanta {
             for mode in [AsidMode::Tagged, AsidMode::Untagged] {
-                let trace = Multiprogram::new(config.mix.clone(), quantum, 42)
-                    .expect("experiment mixes use validated presets");
-                let mut sim = SimConfig::paper_default(system);
-                sim.asid_mode = mode;
-                let report = simulate(&sim, trace, config.scale.warmup, config.scale.measure)
-                    .expect("paper defaults always build");
-                rows.push(Row {
-                    system,
-                    quantum,
-                    mode,
-                    vm_total: report.vmcpi(&cost).total() + report.interrupt_cpi(&cost),
-                    tlb_miss_ratio: report.tlb_miss_ratio(),
-                    flushes: report.counts.tlb_flushes,
-                });
+                cells.push((format!("{system}/q{quantum}/{mode:?}"), system, quantum, mode));
             }
         }
     }
-    Result { mix: config.mix.iter().map(|w| w.name.clone()).collect(), rows }
+    let instrs = |_: &_| config.scale.warmup + config.scale.measure;
+    let rows = run_items(&cells, config.threads, &Reporter::global(), "sweep", instrs, |cell| {
+        let (label, system, quantum, mode) = cell;
+        let trace = Multiprogram::new(config.mix.clone(), *quantum, 42)
+            .expect("experiment mixes use validated presets");
+        let mut sim = SimConfig::paper_default(*system);
+        sim.asid_mode = *mode;
+        let report = simulate(&sim, trace, config.scale.warmup, config.scale.measure)
+            .expect("paper defaults always build");
+        let row = Row {
+            system: *system,
+            quantum: *quantum,
+            mode: *mode,
+            vm_total: report.vmcpi(&cost).total() + report.interrupt_cpi(&cost),
+            tlb_miss_ratio: report.tlb_miss_ratio(),
+            flushes: report.counts.tlb_flushes,
+        };
+        Some((row, label.as_str(), "done"))
+    });
+    Result {
+        mix: config.mix.iter().map(|w| w.name.clone()).collect(),
+        rows: rows.into_iter().map(|row| row.expect("no row is declined")).collect(),
+    }
 }
 
 impl Result {
@@ -218,6 +232,7 @@ mod tests {
             quanta: vec![5_000, 50_000],
             systems: vec![SystemKind::Ultrix],
             scale: RunScale { warmup: 30_000, measure: 150_000 },
+            threads: 1,
         }
     }
 

@@ -4,12 +4,14 @@
 //! the planned trace simulated, and per-job completion lines at Verbose.
 //!
 //! Jobs that replay one stream (same workload, trace seed and run
-//! lengths) run as a lockstep group: the stream is synthesized once, in
-//! chunks of [`CHUNK`] records, and every member steps through each chunk
-//! in turn. Members whose configurations differ only in cache geometry
-//! also share one front end, TLBs and walker, each keeping its own caches
-//! ([`MemorySystem::add_back_end`]). Every member's report equals its own
-//! [`vm_core::simulate`] run; [`GROUP_BYTES`] bounds what a group holds.
+//! lengths) run as lockstep groups: each group synthesizes the stream
+//! once, in chunks of [`CHUNK`] records, and every member steps through
+//! each chunk in turn. Members whose configurations differ only in cache
+//! geometry also share one front end, TLBs and walker, each keeping its
+//! own caches ([`MemorySystem::add_back_end`]). Every member's report
+//! equals its own [`vm_core::simulate`] run; [`GROUP_BYTES`] bounds what a
+//! group holds. A stream's groups step clones of one generator, whose
+//! read-only tables are built once per run and shared.
 //!
 //! [`run_jobs_checked`] is the fault-isolated entry point: each group runs
 //! under `catch_unwind` and failures come back as structured
@@ -19,22 +21,24 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use vm_core::{BuildError, MemorySystem, SimConfig, SimReport};
 use vm_explore::run_batches;
 pub use vm_explore::RunScale;
 use vm_harden::{FailureKind, SimError};
 use vm_obs::Reporter;
-use vm_trace::{InstrRecord, WorkloadSpec};
+use vm_trace::{InstrRecord, SpecError, SyntheticTrace, WorkloadSpec};
 
-/// The most host bytes one lockstep group may hold: its generator
-/// ([`WorkloadSpec::generator_bytes`]), each front end's walker tables
-/// ([`SimConfig::front_end_bytes`]) and each member's cache tags
-/// ([`SimConfig::back_end_bytes`]). A job that would take a group past it
-/// starts a new group, so a job over it on its own runs alone. At 768 KiB
-/// the `paper-quick` benchmark's peak RSS stays within about 10% of
-/// running each job alone (DESIGN.md §5).
-pub const GROUP_BYTES: u64 = 768 << 10;
+/// The most host bytes one lockstep group may hold: each front end's
+/// walker tables ([`SimConfig::front_end_bytes`]) and each member's cache
+/// tags ([`SimConfig::back_end_bytes`]). The generator's tables are not
+/// counted: every group of a stream shares one copy. A job that would
+/// take a group past the bound starts a new group, so a job over it on
+/// its own runs alone. 896 KiB holds the paper's five systems at the
+/// default geometry (852 KiB), so one group runs a workload's column of
+/// suite and fig10-fig13 (DESIGN.md §5).
+pub const GROUP_BYTES: u64 = 896 << 10;
 
 /// Records synthesized per lockstep step. A chunk (24 KiB) stays in the
 /// host's caches while every member of the group steps through it.
@@ -99,30 +103,78 @@ pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Vec<Outcome> {
     run_jobs_checked(jobs, threads, &Reporter::global(), "sweep").unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Splits the job indices into lockstep groups, each in ascending order:
-/// a job joins the first earlier group that replays its stream and has
-/// room for it under [`GROUP_BYTES`], paying only its caches where a
-/// member already built its front end. Groups come out ordered by their
-/// first job.
-fn plan_groups(jobs: &[Job]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(Vec<usize>, u64)> = Vec::new();
+/// Splits the job indices into streams, in order of their first job, and
+/// each stream's jobs into lockstep groups, each in ascending order: a job
+/// joins the first group of its stream that has room for it under
+/// [`GROUP_BYTES`], paying only its caches where a member already built
+/// its front end.
+fn plan_groups(jobs: &[Job]) -> Vec<Vec<Vec<usize>>> {
+    let mut streams: Vec<Vec<(Vec<usize>, u64)>> = Vec::new();
     for (ix, job) in jobs.iter().enumerate() {
         let cost = |members: &[usize]| {
             let shared = members.iter().any(|&m| jobs[m].config.shares_front_end_with(&job.config));
             job.config.back_end_bytes() + if shared { 0 } else { job.config.front_end_bytes() }
         };
-        let room = groups.iter().position(|(members, bytes)| {
-            jobs[members[0]].same_stream(job) && bytes + cost(members) <= GROUP_BYTES
-        });
-        match room {
+        let s =
+            streams.iter().position(|s| jobs[s[0].0[0]].same_stream(job)).unwrap_or_else(|| {
+                streams.push(Vec::new());
+                streams.len() - 1
+            });
+        let groups = &mut streams[s];
+        match groups.iter().position(|(members, bytes)| bytes + cost(members) <= GROUP_BYTES) {
             Some(g) => {
                 groups[g].1 += cost(&groups[g].0);
                 groups[g].0.push(ix);
             }
-            None => groups.push((vec![ix], job.workload.generator_bytes() + cost(&[]))),
+            None => groups.push((vec![ix], cost(&[]))),
         }
     }
-    groups.into_iter().map(|(members, _)| members).collect()
+    streams.into_iter().map(|groups| groups.into_iter().map(|(g, _)| g).collect()).collect()
+}
+
+/// Each stream's generator, shared by its lockstep groups: the first
+/// group to run builds it, every group steps its own clone, and the
+/// shared copy goes once the last group has taken one. Workers claim a
+/// stream's groups back to back, so about one stream's tables per thread
+/// are alive at a time.
+struct Generators {
+    /// The stream each job replays.
+    stream_of: Vec<usize>,
+    /// Per stream: the groups that have yet to take a clone, and the
+    /// unstarted generator once built.
+    slots: Vec<Mutex<(usize, Option<SyntheticTrace>)>>,
+}
+
+impl Generators {
+    /// Empty slots for the streams [`plan_groups`] planned over `jobs`.
+    fn new(jobs: usize, streams: &[Vec<Vec<usize>>]) -> Generators {
+        let mut stream_of = vec![0; jobs];
+        for (s, groups) in streams.iter().enumerate() {
+            groups.iter().flatten().for_each(|&ix| stream_of[ix] = s);
+        }
+        let slots = streams.iter().map(|groups| Mutex::new((groups.len(), None))).collect();
+        Generators { stream_of, slots }
+    }
+
+    /// An unstarted generator of the stream `group` replays, built from
+    /// its first job unless another group has built it already.
+    fn take(&self, jobs: &[Job], group: &[usize]) -> Result<SyntheticTrace, SpecError> {
+        let slot = &self.slots[self.stream_of[group[0]]];
+        // A slot is valid after every step (no generator just means the
+        // next group builds one), so a panicked build leaves nothing to
+        // repair.
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let (left, shared) = &mut *slot;
+        *left -= 1;
+        let trace = match shared.take() {
+            Some(trace) => trace,
+            None => jobs[group[0]].workload.build(jobs[group[0]].trace_seed)?,
+        };
+        if *left > 0 {
+            *shared = Some(trace.clone());
+        }
+        Ok(trace)
+    }
 }
 
 /// A front end and the group positions of the members it feeds, in
@@ -150,15 +202,19 @@ fn lockstep(
     }
 }
 
-/// Runs one lockstep group: synthesizes the stream once, builds one front
-/// end per distinct front end among the members (a member whose walker
-/// shares rides an earlier member's as another back end), warms every
-/// member, resets, and measures. Returns the outcomes in group order, or
-/// the group position of the failing member and its failure; a panic is
-/// charged to the group's first member.
-fn run_group(jobs: &[Job], group: &[usize]) -> Result<Vec<Outcome>, (usize, SimError)> {
+/// Runs one lockstep group: takes its stream's generator, builds one
+/// front end per distinct front end among the members (a member whose
+/// walker shares rides an earlier member's as another back end), warms
+/// every member, resets, and measures. Returns the outcomes in group
+/// order, or the group position of the failing member and its failure; a
+/// panic is charged to the group's first member.
+fn run_group(
+    jobs: &[Job],
+    group: &[usize],
+    generators: &Generators,
+) -> Result<Vec<Outcome>, (usize, SimError)> {
     let lead = &jobs[group[0]];
-    let mut trace = lead.workload.build(lead.trace_seed).map_err(|e| {
+    let mut trace = generators.take(jobs, group).map_err(|e| {
         (0, SimError::new(lead.label.clone(), FailureKind::Workload, e.to_string()))
     })?;
     let run = catch_unwind(AssertUnwindSafe(|| {
@@ -200,7 +256,8 @@ fn run_group(jobs: &[Job], group: &[usize]) -> Result<Vec<Outcome>, (usize, SimE
 /// abandoned, neither simulated nor reported (experiment tables need
 /// every cell, so partial sweeps have no value here — unlike `explore`
 /// sweeps, where each point stands alone); so are the other members of a
-/// failed group.
+/// failed group. At Verbose it first prints its plan: how many jobs,
+/// lockstep groups and streams.
 ///
 /// # Errors
 ///
@@ -212,7 +269,16 @@ pub fn run_jobs_checked(
     label: &str,
 ) -> Result<Vec<Outcome>, SimError> {
     let failed = AtomicBool::new(false);
-    let groups = plan_groups(&jobs);
+    let streams = plan_groups(&jobs);
+    let generators = Generators::new(jobs.len(), &streams);
+    let groups: Vec<Vec<usize>> = streams.into_iter().flatten().collect();
+    let count = |n: usize, noun: &str| format!("{n} {noun}{}", if n == 1 { "" } else { "s" });
+    reporter.detail(format!(
+        "  [{label}] {} in {} over {}",
+        count(jobs.len(), "job"),
+        count(groups.len(), "lockstep group"),
+        count(generators.slots.len(), "stream"),
+    ));
     let instrs = |job: &Job| job.scale.warmup + job.scale.measure;
     let ran = run_batches(&jobs, &groups, threads, reporter, label, instrs, |group| {
         let mut out: Vec<_> = group.iter().map(|_| None).collect();
@@ -220,7 +286,7 @@ pub fn run_jobs_checked(
             return out;
         }
         let name = |pos: usize| jobs[group[pos]].label.as_str();
-        match run_group(&jobs, group) {
+        match run_group(&jobs, group, &generators) {
             Ok(outcomes) => {
                 for (pos, outcome) in outcomes.into_iter().enumerate() {
                     out[pos] = Some((Ok(outcome), name(pos), "done"));
@@ -275,6 +341,32 @@ mod tests {
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.report.counts, p.report.counts);
         }
+    }
+
+    #[test]
+    fn a_group_holds_caches_and_walker_tables_not_the_generator() {
+        let plan = |workload: &WorkloadSpec, configs: &[SimConfig]| {
+            let jobs: Vec<Job> = configs
+                .iter()
+                .map(|&c| Job::new("", c, workload.clone(), RunScale::QUICK))
+                .collect();
+            plan_groups(&jobs)
+        };
+        let five: Vec<SimConfig> =
+            SystemKind::VM_SYSTEMS.into_iter().map(SimConfig::paper_default).collect();
+        assert_eq!(plan(&presets::vortex_spec(), &five), [[[0, 1, 2, 3, 4]]]);
+
+        // vortex's 480 KiB of tables split no group that ijpeg's leave whole.
+        let grid: Vec<SimConfig> = SystemKind::PAPER
+            .into_iter()
+            .flat_map(|kind| {
+                vm_core::paper::L2_SIZES
+                    .map(|l2_bytes| SimConfig { l2_bytes, ..SimConfig::paper_default(kind) })
+            })
+            .collect();
+        let vortex = plan(&presets::vortex_spec(), &grid);
+        assert_eq!(vortex, plan(&presets::ijpeg_spec(), &grid));
+        assert!(vortex[0].len() < grid.len(), "{vortex:?}");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The deterministic synthetic trace generator.
 
+use std::sync::Arc;
+
 use vm_types::{MAddr, SplitMix64, PAGE_SIZE};
 
 use crate::record::InstrRecord;
 use crate::spec::{AccessPattern, WorkloadSpec};
 
 /// A Zipf(s) sampler over `n` ranks via inverse-CDF binary search.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Zipf {
     cdf: Vec<f64>,
 }
@@ -43,7 +45,7 @@ fn permutation(n: usize, rng: &mut SplitMix64) -> Vec<u32> {
     p
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FnLayout {
     /// Global index of the function's first instruction.
     first_instr: u64,
@@ -53,23 +55,33 @@ struct FnLayout {
     loop_len: u32,
 }
 
-#[derive(Debug, Clone)]
-enum RegionState {
-    Sequential {
-        stride: u64,
-        cursor: u64,
-    },
-    RandomPage {
-        zipf: Zipf,
-        page_perm: Vec<u32>,
-        dwell_left: u32,
-        dwell: u32,
-        run_left: u32,
-        run_len: u32,
-        cursor: u64,
-        page_base: u64,
-    },
+/// A data region's read-only part.
+#[derive(Debug)]
+enum Region {
+    Sequential { stride: u64 },
+    RandomPage { zipf: Zipf, page_perm: Vec<u32>, dwell: u32, run_len: u32 },
     Stack,
+}
+
+/// A data region's moving part: where its next reference falls.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    cursor: u64,
+    page_base: u64,
+    dwell_left: u32,
+    run_left: u32,
+}
+
+/// What a generator only reads: a pure function of its spec and seed,
+/// built once and shared by every clone (vortex's 160 MB heap alone is
+/// 480 KiB of Zipf ranks and page permutation).
+#[derive(Debug)]
+struct Tables {
+    fns: Vec<FnLayout>,
+    call_zipf: Zipf,
+    fn_perm: Vec<u32>,
+    region_cdf: Vec<f64>,
+    regions: Vec<Region>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -85,38 +97,19 @@ struct Frame {
 /// [`Iterator::take`]). The same spec and seed always produce the same
 /// stream — the property that lets one workload be replayed against every
 /// simulated VM organization, as the paper does.
+///
+/// The generator's tables sit behind one [`Arc`], so a clone is cheap: a
+/// clone of an unstarted generator replays the same stream from its start
+/// without rebuilding them.
 #[derive(Debug, Clone)]
 pub struct SyntheticTrace {
     spec: WorkloadSpec,
     rng: SplitMix64,
-    fns: Vec<FnLayout>,
-    call_zipf: Zipf,
-    fn_perm: Vec<u32>,
-    region_cdf: Vec<f64>,
-    regions: Vec<RegionState>,
+    tables: Arc<Tables>,
+    cursors: Vec<Cursor>,
     stack: Vec<Frame>,
     cur_fn: usize,
     cur_idx: u32,
-}
-
-impl WorkloadSpec {
-    /// Host bytes the generator [`WorkloadSpec::build`] returns holds: a
-    /// layout, a Zipf rank and a permutation slot per function, and a
-    /// Zipf rank and a permutation slot per page of each random-page
-    /// region (vortex's 160 MB heap alone is 480 KiB).
-    pub fn generator_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let per_fn = size_of::<FnLayout>() + size_of::<f64>() + size_of::<u32>();
-        let pages: u64 = self
-            .data
-            .regions
-            .iter()
-            .filter(|r| matches!(r.pattern, AccessPattern::RandomPage { .. }))
-            .map(|r| (r.size / PAGE_SIZE).max(1))
-            .sum();
-        u64::from(self.code.functions) * per_fn as u64
-            + pages * (size_of::<f64>() + size_of::<u32>()) as u64
-    }
 }
 
 impl SyntheticTrace {
@@ -152,34 +145,25 @@ impl SyntheticTrace {
             acc += r.weight / total_weight;
             region_cdf.push(acc);
             regions.push(match r.pattern {
-                AccessPattern::Sequential { stride } => {
-                    RegionState::Sequential { stride, cursor: 0 }
-                }
+                AccessPattern::Sequential { stride } => Region::Sequential { stride },
                 AccessPattern::RandomPage { zipf_s, dwell, run_len } => {
                     let pages = (r.size / PAGE_SIZE).max(1) as usize;
-                    RegionState::RandomPage {
+                    Region::RandomPage {
                         zipf: Zipf::new(pages, zipf_s),
                         page_perm: permutation(pages, &mut layout_rng),
-                        dwell_left: 0,
                         dwell,
-                        run_left: 0,
                         run_len,
-                        cursor: 0,
-                        page_base: 0,
                     }
                 }
-                AccessPattern::Stack => RegionState::Stack,
+                AccessPattern::Stack => Region::Stack,
             });
         }
 
         let mut trace = SyntheticTrace {
+            cursors: vec![Cursor::default(); regions.len()],
             spec,
             rng,
-            fns,
-            call_zipf,
-            fn_perm,
-            region_cdf,
-            regions,
+            tables: Arc::new(Tables { fns, call_zipf, fn_perm, region_cdf, regions }),
             stack: Vec::new(),
             cur_fn: 0,
             cur_idx: 0,
@@ -194,12 +178,12 @@ impl SyntheticTrace {
     }
 
     fn pick_function(&mut self) -> usize {
-        let rank = self.call_zipf.sample(&mut self.rng);
-        self.fn_perm[rank] as usize
+        let rank = self.tables.call_zipf.sample(&mut self.rng);
+        self.tables.fn_perm[rank] as usize
     }
 
     fn pc(&self) -> MAddr {
-        let f = &self.fns[self.cur_fn];
+        let f = &self.tables.fns[self.cur_fn];
         MAddr::user(self.spec.code.code_base + (f.first_instr + u64::from(self.cur_idx)) * 4)
     }
 
@@ -210,43 +194,36 @@ impl SyntheticTrace {
 
     fn gen_data_addr(&mut self) -> MAddr {
         let u = self.rng.next_f64();
-        let idx = self.region_cdf.partition_point(|&c| c < u).min(self.regions.len() - 1);
+        let tables = &*self.tables;
+        let idx = tables.region_cdf.partition_point(|&c| c < u).min(tables.regions.len() - 1);
         let region = self.spec.data.regions[idx];
-        match &mut self.regions[idx] {
-            RegionState::Sequential { stride, cursor } => {
-                let addr = region.base + *cursor;
-                *cursor = (*cursor + *stride) % region.size;
+        let at = &mut self.cursors[idx];
+        match &tables.regions[idx] {
+            Region::Sequential { stride } => {
+                let addr = region.base + at.cursor;
+                at.cursor = (at.cursor + *stride) % region.size;
                 MAddr::user(addr & !3)
             }
-            RegionState::RandomPage {
-                zipf,
-                page_perm,
-                dwell_left,
-                dwell,
-                run_left,
-                run_len,
-                cursor,
-                page_base,
-            } => {
+            Region::RandomPage { zipf, page_perm, dwell, run_len } => {
                 let span = PAGE_SIZE.min(region.size);
-                if *dwell_left == 0 {
+                if at.dwell_left == 0 {
                     let rank = zipf.sample(&mut self.rng);
                     let page = u64::from(page_perm[rank]);
-                    *page_base = region.base + page * PAGE_SIZE;
-                    *dwell_left = *dwell;
-                    *run_left = 0;
+                    at.page_base = region.base + page * PAGE_SIZE;
+                    at.dwell_left = *dwell;
+                    at.run_left = 0;
                 }
-                if *run_left == 0 {
-                    *cursor = (self.rng.next_below(span / 4)) * 4;
-                    *run_left = *run_len;
+                if at.run_left == 0 {
+                    at.cursor = (self.rng.next_below(span / 4)) * 4;
+                    at.run_left = *run_len;
                 }
-                let addr = *page_base + (*cursor % span);
-                *cursor += 4;
-                *run_left -= 1;
-                *dwell_left -= 1;
+                let addr = at.page_base + (at.cursor % span);
+                at.cursor += 4;
+                at.run_left -= 1;
+                at.dwell_left -= 1;
                 MAddr::user(addr)
             }
-            RegionState::Stack => {
+            Region::Stack => {
                 let spec = &self.spec.data;
                 let sp = spec.stack_top - (self.depth() + 1) * spec.frame_bytes;
                 let off = self.rng.next_below(spec.frame_bytes / 4 + 1) * 4;
@@ -258,7 +235,7 @@ impl SyntheticTrace {
     /// Advances control flow past the current instruction.
     fn advance(&mut self) {
         let (len, loop_len) = {
-            let f = &self.fns[self.cur_fn];
+            let f = &self.tables.fns[self.cur_fn];
             (f.len, f.loop_len)
         };
 
@@ -286,7 +263,7 @@ impl SyntheticTrace {
 
         // Fall through; return (possibly repeatedly) past function ends.
         self.cur_idx = next;
-        while self.cur_idx >= self.fns[self.cur_fn].len {
+        while self.cur_idx >= self.tables.fns[self.cur_fn].len {
             match self.stack.pop() {
                 Some(frame) => {
                     self.cur_fn = frame.func;
@@ -377,6 +354,20 @@ mod tests {
         let a: Vec<_> = presets::gcc(11).take(20_000).collect();
         let b: Vec<_> = presets::gcc(11).take(20_000).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_clone_of_an_unstarted_generator_replays_the_stream_on_the_same_tables() {
+        let mut specs = presets::all_benchmarks();
+        specs.extend([presets::seq_scan_spec(1 << 20), presets::random_access_spec(1 << 20)]);
+        for spec in specs {
+            let fresh = spec.build(7).unwrap();
+            let clone = fresh.clone();
+            assert!(Arc::ptr_eq(&fresh.tables, &clone.tables), "{}", spec.name);
+            let want: Vec<_> = spec.build(7).unwrap().take(20_000).collect();
+            assert_eq!(clone.take(20_000).collect::<Vec<_>>(), want, "{}", spec.name);
+            assert_eq!(fresh.take(20_000).collect::<Vec<_>>(), want, "{}", spec.name);
+        }
     }
 
     #[test]

@@ -12,15 +12,18 @@ if [ -n "$rev" ]; then
 else
     files=$(git ls-files -- '*.rs')
 fi
+# Reads every line, even past the cut: an awk that exits early would
+# leave `git show` writing to a closed pipe (SIGPIPE under pipefail).
+count='/#\[cfg\(test\)\]/ { cut = 1 } !cut { n++ } END { print n + 0 }'
 total=0
 while IFS= read -r f; do
     case "/$f" in
         */tests/* | */examples/* | */benches/* | /perfbench/*) continue ;;
     esac
     if [ -n "$rev" ]; then
-        n=$(git show "$rev:$f" | awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }')
+        n=$(git show "$rev:$f" | awk "$count")
     else
-        n=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+        n=$(awk "$count" "$f")
     fi
     total=$((total + n))
 done <<< "$files"

@@ -195,10 +195,13 @@ fn a_walker_that_reads_the_pte_class_keeps_one_front_end_per_geometry() {
 /// A job list mixing streams, systems and geometries: TLB systems over
 /// several geometries (sharing front ends), NOTLB and BASE jobs on the
 /// same streams, one job with a different TLB, and jobs on other seeds.
+/// vortex's streams span several lockstep groups, which share one
+/// generator.
 fn mixed_jobs(rng: &mut SplitMix64) -> Vec<Job> {
     let scale = RunScale { warmup: 3_000, measure: 12_000 };
     let mut jobs = Vec::new();
-    for (w, workload) in [presets::gcc_spec(), presets::ijpeg_spec()].into_iter().enumerate() {
+    let workloads = [presets::gcc_spec(), presets::ijpeg_spec(), presets::vortex_spec()];
+    for (w, workload) in workloads.into_iter().enumerate() {
         for seed in [1, 2] {
             for kind in
                 [SystemKind::Ultrix, SystemKind::PaRisc, SystemKind::NoTlb, SystemKind::Base]
