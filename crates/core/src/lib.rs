@@ -58,5 +58,7 @@ mod sim;
 mod system;
 
 pub use report::{McpiBreakdown, RawCounts, SimReport, VmcpiBreakdown};
-pub use sim::{simulate, simulate_spec, simulate_with_sink, AsidMode, MemorySystem, SimulateError};
-pub use system::{paper, BuildError, ComposeError, MmuClass, SimConfig, SystemKind, TableOrg};
+pub use sim::{simulate, simulate_with_sink, AsidMode, MemorySystem};
+pub use system::{
+    paper, BuildError, ComposeError, MmuClass, SimConfig, SystemKind, TableOrg, MAX_HOST_BYTES,
+};

@@ -475,11 +475,6 @@ impl<S: Sink> MemorySystem<S> {
         &self.sink
     }
 
-    /// The attached event sink, mutably (e.g. to drain a recording).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
-    }
-
     /// Consumes the system, returning its sink (e.g. to `finish()` an
     /// export sink after the run).
     pub fn into_sink(self) -> S {
@@ -495,12 +490,6 @@ impl<S: Sink> MemorySystem<S> {
     /// there are several).
     pub fn counts(&self) -> RawCounts {
         self.first.merged(&self.counts)
-    }
-
-    /// Enables or disables the context-switch model after construction:
-    /// flush both TLBs every `n` user instructions.
-    pub fn set_flush_tlb_every(&mut self, every: Option<u64>) {
-        self.flush_tlb_every = every;
     }
 
     /// Executes one traced instruction: the body of the paper's
@@ -765,65 +754,6 @@ where
     Ok((report, system.into_sink()))
 }
 
-/// Error from [`simulate_spec`]: either side of the pipeline failed to
-/// build.
-#[derive(Debug)]
-pub enum SimulateError {
-    /// The system configuration was rejected.
-    System(BuildError),
-    /// The workload specification was rejected.
-    Workload(vm_trace::SpecError),
-}
-
-impl std::fmt::Display for SimulateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimulateError::System(e) => write!(f, "{e}"),
-            SimulateError::Workload(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SimulateError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SimulateError::System(e) => Some(e),
-            SimulateError::Workload(e) => Some(e),
-        }
-    }
-}
-
-impl From<BuildError> for SimulateError {
-    fn from(e: BuildError) -> SimulateError {
-        SimulateError::System(e)
-    }
-}
-
-impl From<vm_trace::SpecError> for SimulateError {
-    fn from(e: vm_trace::SpecError) -> SimulateError {
-        SimulateError::Workload(e)
-    }
-}
-
-/// As [`simulate`], but builds the trace from a workload spec and seed.
-///
-/// # Errors
-///
-/// Returns [`SimulateError::System`] for a bad `config` and
-/// [`SimulateError::Workload`] for an invalid `spec`.
-pub fn simulate_spec(
-    config: &SimConfig,
-    spec: &vm_trace::WorkloadSpec,
-    seed: u64,
-    warmup: u64,
-    measure: u64,
-) -> Result<SimReport, SimulateError> {
-    let trace = spec.build(seed)?;
-    let mut report = simulate(config, trace, warmup, measure)?;
-    report.system = format!("{}/{}", report.system, spec.name);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,13 +914,6 @@ mod tests {
     fn nop_sink_report_carries_no_snapshot() {
         let r = quick(SystemKind::Ultrix, 12);
         assert!(r.obs.is_none());
-    }
-
-    #[test]
-    fn simulate_spec_labels_the_workload() {
-        let config = SimConfig::paper_default(SystemKind::Intel);
-        let r = simulate_spec(&config, &presets::ijpeg_spec(), 1, 1_000, 5_000).unwrap();
-        assert_eq!(r.system, "INTEL/ijpeg");
     }
 
     #[test]

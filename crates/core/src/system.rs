@@ -13,6 +13,11 @@ use vm_tlb::{Replacement, Tlb, TlbConfig, TlbConfigError};
 
 use crate::sim::{AsidMode, MemorySystem, Mmu};
 
+/// The most host bytes ([`SimConfig::host_bytes`]) a configuration may
+/// take: [`SimConfig::build`] refuses a larger one before allocating, so
+/// a spec from outside cannot abort the process that validates it.
+pub const MAX_HOST_BYTES: u64 = 1 << 30;
+
 /// Paper-fixed parameter values (Table 1), for building sweeps.
 pub mod paper {
     /// L1 cache sizes, per side, in bytes.
@@ -407,13 +412,6 @@ impl SimConfig {
         }
     }
 
-    /// The machine's total L2 capacity in bytes: `2 * l2_bytes` in both
-    /// organizations (two split sides, or one unified cache sized for
-    /// capacity parity — see [`SimConfig::unified_l2`]).
-    pub fn l2_total_bytes(&self) -> u64 {
-        2 * self.l2_bytes
-    }
-
     /// Protected slots implied by the system kind and TLB size: 16 for
     /// the MIPS-flavoured systems (scaled down for tiny ablation TLBs),
     /// 0 otherwise.
@@ -457,12 +455,20 @@ impl SimConfig {
     }
 
     /// Host bytes the built caches hold: `vm-cache` keeps one `u64` tag
-    /// per line, written when the cache is built.
+    /// per line, written when the cache is built. Saturates at `u64::MAX`.
     pub fn back_end_bytes(&self) -> u64 {
-        let tag = std::mem::size_of::<u64>() as u64;
         // Two L1s, and L2 lines worth `2 * l2_bytes` whether split or
         // unified.
-        (2 * (self.l1_bytes / self.l1_line) + 2 * self.l2_bytes / self.l2_line) * tag
+        let tags = |bytes: u64, line: u64| (bytes / line).saturating_mul(2 * 8);
+        tags(self.l1_bytes, self.l1_line).saturating_add(tags(self.l2_bytes, self.l2_line))
+    }
+
+    /// Host bytes the built system holds before its first step: walker
+    /// tables, cache tags and both TLBs. Saturates at `u64::MAX`.
+    pub fn host_bytes(&self) -> u64 {
+        let tlbs = if self.system.uses_tlb() { Tlb::table_bytes(self.tlb_entries) } else { 0 };
+        let front = self.front_end_bytes().saturating_add(tlbs.saturating_mul(2));
+        front.saturating_add(self.back_end_bytes())
     }
 
     /// Builds the cache complement alone: split L1s over split L2s, or
@@ -470,15 +476,20 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the cache geometry is invalid.
+    /// Returns [`BuildError`] if the cache geometry is invalid or the
+    /// whole configuration takes over [`MAX_HOST_BYTES`].
     pub fn build_caches(&self) -> Result<CacheSystem, BuildError> {
         let l1 = CacheConfig::set_associative(self.l1_bytes, self.l1_line, self.associativity)?;
+        let l2_bytes =
+            if self.unified_l2 { self.l2_bytes.saturating_mul(2) } else { self.l2_bytes };
+        let l2 = CacheConfig::set_associative(l2_bytes, self.l2_line, self.associativity)?;
+        let bytes = self.host_bytes();
+        if bytes > MAX_HOST_BYTES {
+            return Err(BuildError::TooLarge(bytes));
+        }
         Ok(if self.unified_l2 {
-            let l2 =
-                CacheConfig::set_associative(2 * self.l2_bytes, self.l2_line, self.associativity)?;
             CacheSystem::unified(Cache::new(l1), Cache::new(l1), Cache::new(l2))
         } else {
-            let l2 = CacheConfig::set_associative(self.l2_bytes, self.l2_line, self.associativity)?;
             CacheSystem::split(Cache::new(l1), Cache::new(l1), Cache::new(l2), Cache::new(l2))
         })
     }
@@ -487,8 +498,15 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the cache or TLB geometry is invalid.
+    /// Returns [`BuildError`] if the cache, TLB or hashed-table geometry
+    /// is invalid, or if the configuration takes over [`MAX_HOST_BYTES`].
     pub fn build(&self) -> Result<MemorySystem, BuildError> {
+        let hashed = HashedConfig::scaled(self.phys_mem_bytes).entries;
+        if matches!(self.system, SystemKind::PaRisc | SystemKind::Hybrid)
+            && hashed > HashedConfig::MAX_ENTRIES
+        {
+            return Err(BuildError::Table(hashed));
+        }
         let caches = self.build_caches()?;
 
         let make_tlb = |salt: u64| -> Result<Tlb, TlbConfigError> {
@@ -545,6 +563,12 @@ pub enum BuildError {
     Cache(CacheGeometryError),
     /// The TLB geometry was rejected.
     Tlb(TlbConfigError),
+    /// A hashed page table of this many entries would overrun its
+    /// reserved span ([`HashedConfig::MAX_ENTRIES`]).
+    Table(u64),
+    /// The configuration would hold this many host bytes, over
+    /// [`MAX_HOST_BYTES`].
+    TooLarge(u64),
 }
 
 impl fmt::Display for BuildError {
@@ -552,6 +576,17 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Cache(e) => write!(f, "cannot build simulation: {e}"),
             BuildError::Tlb(e) => write!(f, "cannot build simulation: {e}"),
+            BuildError::Table(entries) => write!(
+                f,
+                "cannot build simulation: a hashed page table of {entries} entries overruns its \
+                 reserved span of {} (physical memory is limited to 256 MB)",
+                HashedConfig::MAX_ENTRIES
+            ),
+            BuildError::TooLarge(bytes) => write!(
+                f,
+                "cannot build simulation: its caches, TLBs and page tables would take \
+                 {bytes} bytes of host memory, over the {MAX_HOST_BYTES}-byte limit"
+            ),
         }
     }
 }
@@ -561,6 +596,7 @@ impl Error for BuildError {
         match self {
             BuildError::Cache(e) => Some(e),
             BuildError::Tlb(e) => Some(e),
+            BuildError::Table(_) | BuildError::TooLarge(_) => None,
         }
     }
 }

@@ -16,6 +16,7 @@ use crate::{
     trace_stats_cmd, upload_cmd, verify_cmd, watch_cmd,
 };
 use vm_experiments::{registry, RunScale, Verbosity};
+use vm_explore::spec::parse_size;
 use vm_harden::ChaosPlan;
 use vm_trace::{presets, WorkloadSpec};
 
@@ -460,18 +461,6 @@ impl Args {
         })?;
         Ok(plan.unwrap_or_default())
     }
-}
-
-/// Parses `512` / `256K` / `64M` into bytes.
-pub fn parse_size(s: &str) -> Result<u64, String> {
-    let s = s.trim();
-    let (num, shift) = match s.as_bytes().last() {
-        Some(b'k' | b'K') => (&s[..s.len() - 1], 10),
-        Some(b'm' | b'M') => (&s[..s.len() - 1], 20),
-        _ => (s, 0),
-    };
-    let n: u64 = num.parse().map_err(|_| format!("`{s}` is not a size (e.g. 512, 256K, 64M)"))?;
-    n.checked_mul(1u64 << shift).ok_or_else(|| format!("`{s}` overflows 64 bits"))
 }
 
 #[cfg(test)]

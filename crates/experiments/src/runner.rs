@@ -11,7 +11,7 @@
 //! own caches ([`MemorySystem::add_back_end`]). Every member's report
 //! equals its own [`vm_core::simulate`] run; [`GROUP_BYTES`] bounds what a
 //! group holds. A stream's groups step clones of one generator, whose
-//! read-only tables are built once per run and shared.
+//! read-only tables a [`StreamTable`] builds once per run and shares.
 //!
 //! [`run_jobs_checked`] is the fault-isolated entry point: each group runs
 //! under `catch_unwind` and failures come back as structured
@@ -21,14 +21,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use vm_core::{BuildError, MemorySystem, SimConfig, SimReport};
-use vm_explore::run_batches;
+use vm_explore::stream::Source;
 pub use vm_explore::RunScale;
+use vm_explore::{run_batches, StreamTable};
 use vm_harden::{FailureKind, SimError};
 use vm_obs::Reporter;
-use vm_trace::{InstrRecord, SpecError, SyntheticTrace, WorkloadSpec};
+use vm_trace::{InstrRecord, WorkloadSpec};
 
 /// The most host bytes one lockstep group may hold: each front end's
 /// walker tables ([`SimConfig::front_end_bytes`]) and each member's cache
@@ -75,6 +75,11 @@ impl Job {
         self.trace_seed == other.trace_seed
             && self.scale == other.scale
             && self.workload == other.workload
+    }
+
+    /// The stream's source in a [`StreamTable`].
+    fn source(&self) -> Source {
+        Source::Synthetic(self.workload.clone(), self.trace_seed)
     }
 }
 
@@ -132,51 +137,6 @@ fn plan_groups(jobs: &[Job]) -> Vec<Vec<Vec<usize>>> {
     streams.into_iter().map(|groups| groups.into_iter().map(|(g, _)| g).collect()).collect()
 }
 
-/// Each stream's generator, shared by its lockstep groups: the first
-/// group to run builds it, every group steps its own clone, and the
-/// shared copy goes once the last group has taken one. Workers claim a
-/// stream's groups back to back, so about one stream's tables per thread
-/// are alive at a time.
-struct Generators {
-    /// The stream each job replays.
-    stream_of: Vec<usize>,
-    /// Per stream: the groups that have yet to take a clone, and the
-    /// unstarted generator once built.
-    slots: Vec<Mutex<(usize, Option<SyntheticTrace>)>>,
-}
-
-impl Generators {
-    /// Empty slots for the streams [`plan_groups`] planned over `jobs`.
-    fn new(jobs: usize, streams: &[Vec<Vec<usize>>]) -> Generators {
-        let mut stream_of = vec![0; jobs];
-        for (s, groups) in streams.iter().enumerate() {
-            groups.iter().flatten().for_each(|&ix| stream_of[ix] = s);
-        }
-        let slots = streams.iter().map(|groups| Mutex::new((groups.len(), None))).collect();
-        Generators { stream_of, slots }
-    }
-
-    /// An unstarted generator of the stream `group` replays, built from
-    /// its first job unless another group has built it already.
-    fn take(&self, jobs: &[Job], group: &[usize]) -> Result<SyntheticTrace, SpecError> {
-        let slot = &self.slots[self.stream_of[group[0]]];
-        // A slot is valid after every step (no generator just means the
-        // next group builds one), so a panicked build leaves nothing to
-        // repair.
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let (left, shared) = &mut *slot;
-        *left -= 1;
-        let trace = match shared.take() {
-            Some(trace) => trace,
-            None => jobs[group[0]].workload.build(jobs[group[0]].trace_seed)?,
-        };
-        if *left > 0 {
-            *shared = Some(trace.clone());
-        }
-        Ok(trace)
-    }
-}
-
 /// A front end and the group positions of the members it feeds, in
 /// back-end order.
 type Lane = (MemorySystem, Vec<usize>);
@@ -202,7 +162,7 @@ fn lockstep(
     }
 }
 
-/// Runs one lockstep group: takes its stream's generator, builds one
+/// Runs one lockstep group: takes its stream from `streams`, builds one
 /// front end per distinct front end among the members (a member whose
 /// walker shares rides an earlier member's as another back end), warms
 /// every member, resets, and measures. Returns the outcomes in group
@@ -211,12 +171,12 @@ fn lockstep(
 fn run_group(
     jobs: &[Job],
     group: &[usize],
-    generators: &Generators,
+    streams: &StreamTable,
 ) -> Result<Vec<Outcome>, (usize, SimError)> {
     let lead = &jobs[group[0]];
-    let mut trace = generators.take(jobs, group).map_err(|e| {
-        (0, SimError::new(lead.label.clone(), FailureKind::Workload, e.to_string()))
-    })?;
+    let mut trace = streams
+        .take(&lead.source())
+        .map_err(|(kind, detail)| (0, SimError::new(lead.label.clone(), kind, detail)))?;
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut lanes: Vec<Lane> = Vec::new();
         for (pos, &ix) in group.iter().enumerate() {
@@ -269,15 +229,16 @@ pub fn run_jobs_checked(
     label: &str,
 ) -> Result<Vec<Outcome>, SimError> {
     let failed = AtomicBool::new(false);
-    let streams = plan_groups(&jobs);
-    let generators = Generators::new(jobs.len(), &streams);
-    let groups: Vec<Vec<usize>> = streams.into_iter().flatten().collect();
+    let plan = plan_groups(&jobs);
+    let planned_streams = plan.len();
+    let groups: Vec<Vec<usize>> = plan.into_iter().flatten().collect();
+    let streams = StreamTable::new(None, groups.iter().map(|g| jobs[g[0]].source()));
     let count = |n: usize, noun: &str| format!("{n} {noun}{}", if n == 1 { "" } else { "s" });
     reporter.detail(format!(
         "  [{label}] {} in {} over {}",
         count(jobs.len(), "job"),
         count(groups.len(), "lockstep group"),
-        count(generators.slots.len(), "stream"),
+        count(planned_streams, "stream"),
     ));
     let instrs = |job: &Job| job.scale.warmup + job.scale.measure;
     let ran = run_batches(&jobs, &groups, threads, reporter, label, instrs, |group| {
@@ -286,7 +247,9 @@ pub fn run_jobs_checked(
             return out;
         }
         let name = |pos: usize| jobs[group[pos]].label.as_str();
-        match run_group(&jobs, group, &generators) {
+        let ran = run_group(&jobs, group, &streams);
+        streams.release(&jobs[group[0]].source());
+        match ran {
             Ok(outcomes) => {
                 for (pos, outcome) in outcomes.into_iter().enumerate() {
                     out[pos] = Some((Ok(outcome), name(pos), "done"));

@@ -7,8 +7,8 @@
 //! — the workload generator and the TLB replacement RNG — is seeded from
 //! the point's spec alone, never from worker identity; the same sweep
 //! therefore produces bit-identical results at any `--jobs` count.
-//! Points that replay the same library trace (`trace:NAME`) share one
-//! decoded, read-only copy of it per sweep.
+//! Points that replay the same stream (a synthetic workload at one seed,
+//! or a library trace) share its source through one [`StreamTable`].
 //!
 //! [`run_sweep_hardened`] is the full executor: each point runs inside
 //! `catch_unwind` so one panicking point becomes a
@@ -30,7 +30,7 @@
 //! retry and one [`Event::SweepPointDone`] or [`Event::PointFailed`]
 //! per point.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -47,6 +47,7 @@ use vm_supervise::WorkerPool;
 
 use crate::journal::result_to_value;
 use crate::progress::{PointCheckpoint, ProgressConfig};
+use crate::stream::{Source, Stream, StreamTable};
 use crate::sweep::{PlannedPoint, SweepPlan};
 
 /// Run-length presets trading fidelity against wall-clock time: the one
@@ -149,6 +150,15 @@ pub struct HardenPolicy {
     /// `<state-dir>/traces` so uploaded traces resolve identically
     /// in-process and across the worker wire.
     pub trace_library: Option<std::path::PathBuf>,
+}
+
+impl HardenPolicy {
+    /// The library `trace:NAME` workloads load from:
+    /// [`HardenPolicy::trace_library`], else `VM_TRACE_LIBRARY`.
+    pub(crate) fn library(&self) -> Option<vm_trace::TraceLibrary> {
+        let dir = self.trace_library.clone();
+        dir.map(vm_trace::TraceLibrary::new).or_else(vm_trace::TraceLibrary::from_env)
+    }
 }
 
 /// One measured sweep point.
@@ -339,8 +349,11 @@ pub fn run_sweep_hardened<S: Sink>(
     }
 
     let pending: Vec<usize> = (0..total).filter(|ix| !seeded.contains_key(ix)).collect();
+    let sources = pending.iter().filter_map(|&ix| point_source(&points[ix]));
+    let streams = StreamTable::new(policy.library(), sources);
     let mut ran =
-        run_pending(points, &pending, exec, policy, reporter, journal, S::ENABLED).into_iter();
+        run_pending(points, &pending, exec, policy, reporter, journal, S::ENABLED, &streams)
+            .into_iter();
     let (outcomes, attempts): (Vec<_>, Vec<_>) = (0..total)
         .map(|ix| match seeded.remove(&ix) {
             Some(r) => (PointOutcome::Completed(r), 1),
@@ -503,7 +516,9 @@ pub fn run_batches<'a, T: Sync, R: Send>(
 }
 
 /// Simulates the `pending` points of `plan` on [`run_items`], returning
-/// `(outcome, attempts)` per pending point, in order.
+/// `(outcome, attempts)` per pending point, in order. Each point takes its
+/// stream from `streams`, which counts one user per pending point.
+#[allow(clippy::too_many_arguments)]
 fn run_pending(
     points: &[PlannedPoint],
     pending: &[usize],
@@ -512,20 +527,25 @@ fn run_pending(
     reporter: &Reporter,
     journal: Option<&Mutex<DynJournalWriter>>,
     sink_enabled: bool,
+    streams: &StreamTable,
 ) -> Vec<(SweepPointOutcome, u32)> {
     let instrs = |_: &usize| exec.warmup + exec.measure;
-    let traces = TraceTable::for_points(pending.iter().map(|&ix| &points[ix]));
+    let release = |point: &PlannedPoint| {
+        if let Some(source) = point_source(point) {
+            streams.release(&source);
+        }
+    };
     let ran = run_items(pending, exec.jobs, reporter, "explore", instrs, |&ix| {
         let point = &points[ix];
         if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-            traces.release(point);
+            release(point);
             if let Some(progress) = &policy.progress {
                 progress.observer.point_finished(ix, false);
             }
             return None;
         }
-        let (outcome, tries) = measure_point_isolated(point, exec, policy, &traces);
-        traces.release(point);
+        let (outcome, tries) = measure_point_isolated(point, exec, policy, streams);
+        release(point);
         if let Some(journal) = journal {
             let entry = JournalEntry::from_outcome(
                 ix as u64,
@@ -586,14 +606,14 @@ pub(crate) fn point_error(
 /// [`HardenPolicy::process`] set the point crosses into a supervised
 /// worker process (which runs this same function, sans pool); otherwise
 /// it runs in-process: chaos injection, retries for transient failures,
-/// `catch_unwind` classification of panics and sentinels, replaying any
-/// library trace from `traces`. Returns the outcome and the attempts
+/// `catch_unwind` classification of panics and sentinels, taking the
+/// point's stream from `streams`. Returns the outcome and the attempts
 /// consumed.
 pub(crate) fn measure_point_isolated(
     point: &PlannedPoint,
     exec: &ExecConfig,
     policy: &HardenPolicy,
-    traces: &TraceTable,
+    streams: &StreamTable,
 ) -> (SweepPointOutcome, u32) {
     if let Some(pool) = &policy.process {
         return crate::process::measure_point_process(pool, point, exec, policy);
@@ -609,7 +629,7 @@ pub(crate) fn measure_point_isolated(
                 ));
             }
         }
-        try_measure_point(point, exec, policy, traces)
+        try_measure_point(point, exec, policy, streams)
     });
     match result {
         Ok(r) => (PointOutcome::Completed(r), attempts),
@@ -618,150 +638,51 @@ pub(crate) fn measure_point_isolated(
     }
 }
 
-/// Decoded library traces, keyed by trace name, shared read-only by the
-/// points of one [`run_pending`] call.
-///
-/// The first point that needs a trace decodes it; a point that needs it
-/// meanwhile waits for that decode rather than starting a second one. A
-/// failed decode is not remembered, so the next point that names the
-/// trace tries again. A trace counted by [`TraceTable::for_points`] is
-/// dropped once [`TraceTable::release`] has been called for each of its
-/// points; one loaded by a point that was not counted lives as long as
-/// the table.
-#[derive(Default)]
-pub(crate) struct TraceTable {
-    slots: Mutex<HashMap<String, TraceSlot>>,
-}
-
-/// One library trace's entry in a [`TraceTable`].
-#[derive(Default)]
-struct TraceSlot {
-    /// Counted points that name the trace and have not finished.
-    users: usize,
-    /// The decoded records once a point has loaded them. A decoding
-    /// point holds this lock, so others that need the trace wait on it.
-    records: Arc<Mutex<Option<Arc<Vec<vm_trace::InstrRecord>>>>>,
-}
-
 /// Locks `m` even when a panicking point poisoned it: the executor
 /// turns panics into point failures and carries on with the sweep.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl TraceTable {
-    /// A table expecting one [`release`](TraceTable::release) per point
-    /// of `points` that names a library trace.
-    fn for_points<'a>(points: impl Iterator<Item = &'a PlannedPoint>) -> TraceTable {
-        let mut slots = HashMap::<String, TraceSlot>::new();
-        for name in points.filter_map(|p| vm_trace::trace_workload(p.spec.workload_name())) {
-            slots.entry(name.to_owned()).or_default().users += 1;
-        }
-        TraceTable { slots: Mutex::new(slots) }
-    }
-
-    /// The records of trace `name`, decoded from `library` unless
-    /// another point has decoded them already.
-    fn load(
-        &self,
-        library: &vm_trace::TraceLibrary,
-        name: &str,
-    ) -> Result<Arc<Vec<vm_trace::InstrRecord>>, vm_trace::LibraryError> {
-        let slot = Arc::clone(&lock(&self.slots).entry(name.to_owned()).or_default().records);
-        let mut records = lock(&slot);
-        if let Some(records) = &*records {
-            return Ok(Arc::clone(records));
-        }
-        let decoded = Arc::new(library.load(name)?);
-        *records = Some(Arc::clone(&decoded));
-        Ok(decoded)
-    }
-
-    /// Notes that `point` has finished; after the last counted point that
-    /// names a trace, the table drops that trace.
-    fn release(&self, point: &PlannedPoint) {
-        let Some(name) = vm_trace::trace_workload(point.spec.workload_name()) else { return };
-        let mut slots = lock(&self.slots);
-        if let Some(slot) = slots.get_mut(name) {
-            slot.users -= 1;
-            if slot.users == 0 {
-                slots.remove(name);
-            }
+/// The stream a point replays: its library trace, or its workload preset
+/// at its trace seed. `None` only for a preset that vanished after
+/// validation.
+fn point_source(point: &PlannedPoint) -> Option<Source> {
+    let name = point.spec.workload_name();
+    match vm_trace::trace_workload(name) {
+        Some(trace) => Some(Source::Library(trace.to_owned())),
+        None => {
+            vm_trace::presets::by_name(name).map(|w| Source::Synthetic(w, point.spec.trace_seed))
         }
     }
 }
 
-/// A point's record source: a synthetic preset or a replayed library
-/// trace. Both feed the same infallible-iterator pipeline (chaos wrap,
-/// [`CheckedTrace`], `simulate`); a library trace is fully decoded and
-/// validated *before* this enum exists, so decode failures surface as
-/// structured [`FailureKind::Ingest`] errors, never mid-simulation.
-enum PointTrace {
-    Synth(Box<vm_trace::SyntheticTrace>),
-    /// Shared read-only records and this point's cursor into them.
-    Replay(Arc<Vec<vm_trace::InstrRecord>>, usize),
-}
-
-impl Iterator for PointTrace {
-    type Item = vm_trace::InstrRecord;
-
-    fn next(&mut self) -> Option<vm_trace::InstrRecord> {
-        match self {
-            PointTrace::Synth(t) => t.next(),
-            PointTrace::Replay(records, at) => {
-                let rec = *records.get(*at)?;
-                *at += 1;
-                Some(rec)
-            }
-        }
-    }
-}
-
-/// Resolves a point's workload into a record source and display label.
-/// A library trace comes from `traces` and must hold at least the run's
-/// warm-up plus measured instructions.
+/// A point's stream from `streams`. A library trace is decoded and
+/// validated before simulation starts, so its failures surface as
+/// structured [`FailureKind::Ingest`] errors, never mid-simulation, and
+/// it must hold at least the run's warm-up plus measured instructions.
 fn point_trace(
     point: &PlannedPoint,
     exec: &ExecConfig,
-    policy: &HardenPolicy,
-    traces: &TraceTable,
-) -> Result<(String, PointTrace), SimError> {
-    let name = point.spec.workload_name();
-    if let Some(trace_name) = vm_trace::trace_workload(name) {
-        let library = policy
-            .trace_library
-            .clone()
-            .map(vm_trace::TraceLibrary::new)
-            .or_else(vm_trace::TraceLibrary::from_env)
-            .ok_or_else(|| {
-                point_error(
-                    point,
-                    FailureKind::Ingest,
-                    vm_trace::LibraryError::NoLibrary.to_string(),
-                )
-            })?;
-        let records = traces
-            .load(&library, trace_name)
-            .map_err(|e| point_error(point, FailureKind::Ingest, e.to_string()))?;
+    streams: &StreamTable,
+) -> Result<Stream, SimError> {
+    let source = point_source(point).ok_or_else(|| {
+        point_error(point, FailureKind::Workload, "workload vanished after validation")
+    })?;
+    let stream =
+        streams.take(&source).map_err(|(kind, detail)| point_error(point, kind, detail))?;
+    if let (Source::Library(name), Stream::Replay(records, _)) = (&source, &stream) {
         let (held, warmup, measure) = (records.len(), exec.warmup, exec.measure);
         if (held as u64) < warmup + measure {
             let detail = format!(
-                "trace `{trace_name}` holds {held} records; this run needs {} \
+                "trace `{name}` holds {held} records; this run needs {} \
                  ({warmup} warm-up + {measure} measured)",
                 warmup + measure
             );
             return Err(point_error(point, FailureKind::Ingest, detail));
         }
-        Ok((name.to_owned(), PointTrace::Replay(records, 0)))
-    } else {
-        let workload = vm_trace::presets::by_name(name).ok_or_else(|| {
-            point_error(point, FailureKind::Workload, "workload vanished after validation")
-        })?;
-        let trace = workload
-            .build(point.spec.trace_seed)
-            .map_err(|e| point_error(point, FailureKind::Workload, e.to_string()))?;
-        Ok((workload.name, PointTrace::Synth(Box::new(trace))))
     }
+    Ok(stream)
 }
 
 /// One attempt at simulating a point, every failure mode mapped to a
@@ -770,9 +691,9 @@ fn try_measure_point(
     point: &PlannedPoint,
     exec: &ExecConfig,
     policy: &HardenPolicy,
-    traces: &TraceTable,
+    streams: &StreamTable,
 ) -> Result<PointResult, SimError> {
-    let (workload_label, trace) = point_trace(point, exec, policy, traces)?;
+    let trace = point_trace(point, exec, streams)?;
     let horizon = exec.warmup + exec.measure;
     let checked = CheckedTrace::new(policy.chaos.wrap(point.index, horizon, trace));
     let run = catch_unwind(AssertUnwindSafe(|| {
@@ -804,7 +725,7 @@ fn try_measure_point(
             return Err(e);
         }
     };
-    let mut result = result_row(point, workload_label, report);
+    let mut result = result_row(point, report);
     if policy.chaos.fault_for(point.index) == Some(Fault::Lie) {
         // The Byzantine chaos fault: an honest simulation, then one ulp
         // of corruption — applied BEFORE signing, so the lie leaves here
@@ -818,7 +739,7 @@ fn try_measure_point(
 }
 
 /// Derives a result row from a point's finished simulation.
-fn result_row(point: &PlannedPoint, workload: String, report: SimReport) -> PointResult {
+fn result_row(point: &PlannedPoint, report: SimReport) -> PointResult {
     let cost = CostModel::paper(point.spec.interrupt_cycles);
     let vmcpi = report.vmcpi(&cost).total();
     let interrupt_cpi = report.interrupt_cpi(&cost);
@@ -829,7 +750,7 @@ fn result_row(point: &PlannedPoint, workload: String, report: SimReport) -> Poin
         label: point.label.clone(),
         settings: point.settings.clone(),
         system: point.config.system.label().to_owned(),
-        workload,
+        workload: point.spec.workload_name().to_owned(),
         vmcpi,
         interrupt_cpi,
         mcpi: report.mcpi(&cost).total(),
@@ -1283,7 +1204,7 @@ mod tests {
         let plan = SweepPlan::expand(&base, &axes).unwrap();
         let exec = tiny_exec(1);
         let measure = |exec: &ExecConfig, policy: &HardenPolicy, point: &PlannedPoint| {
-            measure_point_isolated(point, exec, policy, &TraceTable::default()).0
+            measure_point_isolated(point, exec, policy, &StreamTable::new(policy.library(), [])).0
         };
 
         // No library configured (explicit or env): a structured ingest
@@ -1332,8 +1253,8 @@ mod tests {
             .points
             .iter()
             .map(|p| {
-                let (outcome, _) =
-                    measure_point_isolated(p, &tiny_exec(1), &policy, &TraceTable::default());
+                let streams = StreamTable::new(policy.library(), []);
+                let (outcome, _) = measure_point_isolated(p, &tiny_exec(1), &policy, &streams);
                 outcome.completed().expect("replay completes").clone()
             })
             .collect();
@@ -1372,17 +1293,20 @@ mod tests {
     }
 
     #[test]
-    fn the_trace_table_decodes_once_and_forgets_failures() {
+    fn the_stream_table_decodes_a_trace_once_and_forgets_failures() {
         let dir = empty_library("table");
         let library = vm_trace::TraceLibrary::new(&dir);
-        let missing = |r: Result<_, vm_trace::LibraryError>| {
-            matches!(r, Err(vm_trace::LibraryError::Missing { .. }))
+        let captured = Source::Library("captured".to_owned());
+        let missing = |r: Result<_, (FailureKind, String)>| matches!(r, Err((FailureKind::Ingest, e)) if e.contains("is not in the library"));
+        let records = |stream: Stream| match stream {
+            Stream::Replay(records, 0) => records,
+            other => panic!("not an unstarted replay: {other:?}"),
         };
 
         // A failed load is not remembered: once the trace is installed,
         // the same table loads it.
-        let table = TraceTable::default();
-        assert!(missing(table.load(&library, "captured")));
+        let table = StreamTable::new(Some(library.clone()), []);
+        assert!(missing(table.take(&captured)));
         install_captured(&dir);
 
         // Four points released at once share one decoded copy.
@@ -1392,7 +1316,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        table.load(&library, "captured").unwrap()
+                        records(table.take(&captured).unwrap())
                     })
                 })
                 .collect();
@@ -1400,24 +1324,73 @@ mod tests {
         });
         assert_eq!(loaded[0].len(), 12_000);
         assert!(loaded.iter().all(|r| Arc::ptr_eq(r, &loaded[0])));
+        assert_eq!(table.builds(), 1);
 
         // The table keeps the records after the file goes; a fresh table
         // has only the library to read.
         std::fs::remove_file(library.path("captured")).unwrap();
-        let later = table.load(&library, "captured").unwrap();
+        let later = records(table.take(&captured).unwrap());
         assert!(Arc::ptr_eq(&later, &loaded[0]));
-        assert!(missing(TraceTable::default().load(&library, "captured")));
+        assert!(missing(StreamTable::new(Some(library.clone()), []).take(&captured)));
 
         // A counted trace is dropped once its last point has finished.
         install_captured(&dir);
         let plan = captured_plan();
-        let counted = TraceTable::for_points(plan.points[..2].iter());
-        let held = counted.load(&library, "captured").unwrap();
+        let counted = StreamTable::new(
+            Some(library.clone()),
+            plan.points[..2].iter().map(|p| point_source(p).expect("a library point has a source")),
+        );
+        let held = records(counted.take(&captured).unwrap());
         std::fs::remove_file(library.path("captured")).unwrap();
-        counted.release(&plan.points[0]);
-        assert!(Arc::ptr_eq(&counted.load(&library, "captured").unwrap(), &held));
-        counted.release(&plan.points[1]);
-        assert!(missing(counted.load(&library, "captured")));
+        counted.release(&captured);
+        assert!(Arc::ptr_eq(&records(counted.take(&captured).unwrap()), &held));
+        counted.release(&captured);
+        assert!(missing(counted.take(&captured)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_pending_run_builds_a_shared_generator_once_and_drops_it_after_the_last_point() {
+        // Four points of gcc at one seed, and two of vortex at another.
+        let mut plan = tiny_plan();
+        let mut vortex = SystemSpec::for_kind(SystemKind::Mach);
+        vortex.workload = Some("vortex".to_owned());
+        vortex.trace_seed = 5;
+        let axes = [Axis::parse("tlb.entries=32,64").unwrap()];
+        for mut point in SweepPlan::expand(&vortex, &axes).unwrap().points {
+            point.index = plan.points.len();
+            plan.points.push(point);
+        }
+        let pending: Vec<usize> = (0..plan.points.len()).collect();
+        let sources: Vec<Source> = plan.points.iter().filter_map(point_source).collect();
+        assert_eq!(sources.len(), 6);
+        for jobs in [1, 3] {
+            let streams = StreamTable::new(None, sources.iter().cloned());
+            let policy = HardenPolicy::default();
+            let ran = run_pending(
+                &plan.points,
+                &pending,
+                &tiny_exec(jobs),
+                &policy,
+                &Reporter::silent(),
+                None,
+                false,
+                &streams,
+            );
+            assert_eq!(streams.builds(), 2, "{jobs} jobs");
+            // The last point dropped each source: taking one builds again.
+            streams.take(&sources[0]).unwrap();
+            assert_eq!(streams.builds(), 3, "{jobs} jobs");
+            // Each point replays what a generator of its own replays.
+            for ((outcome, _), point) in ran.iter().zip(&plan.points) {
+                let alone = measure_point_isolated(
+                    point,
+                    &tiny_exec(1),
+                    &policy,
+                    &StreamTable::new(None, []),
+                );
+                assert_eq!(outcome.completed(), alone.0.completed(), "{}", point.label);
+            }
+        }
     }
 }

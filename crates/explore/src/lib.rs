@@ -38,6 +38,7 @@ pub mod journal;
 pub mod process;
 pub mod progress;
 pub mod spec;
+pub mod stream;
 pub mod sweep;
 
 pub use analysis::{pareto_frontier, sensitivity, AxisSensitivity};
@@ -52,4 +53,5 @@ pub use journal::{
 pub use process::{handle_request, request_line, serve_worker};
 pub use progress::{PointCheckpoint, ProgressConfig, SweepObserver};
 pub use spec::{SpecError, SystemSpec, ValidateError, PAGE_BYTES};
+pub use stream::StreamTable;
 pub use sweep::{Axis, PlannedPoint, SkippedPoint, SweepPlan};

@@ -37,9 +37,10 @@ use vm_supervise::{maybe_kill_for_test, worker_loop, PoolError, WorkerPool};
 use vm_trace::wire::{hex64, parse_hex64};
 
 use crate::exec::SweepPointOutcome;
-use crate::exec::{measure_point_isolated, point_error, ExecConfig, HardenPolicy, TraceTable};
+use crate::exec::{measure_point_isolated, point_error, ExecConfig, HardenPolicy};
 use crate::journal::{result_from_value, result_to_value};
 use crate::spec::SystemSpec;
+use crate::stream::StreamTable;
 use crate::sweep::PlannedPoint;
 
 /// Encodes an arbitrary `u64` (seeds) as a 16-hex-digit string; a JSON
@@ -184,8 +185,8 @@ pub fn handle_request(line: &str) -> String {
         }
     };
     maybe_kill_for_test(req.point.index as u64);
-    let (outcome, attempts) =
-        measure_point_isolated(&req.point, &req.exec, &req.policy, &TraceTable::default());
+    let streams = StreamTable::new(req.policy.library(), []);
+    let (outcome, attempts) = measure_point_isolated(&req.point, &req.exec, &req.policy, &streams);
     JournalEntry::from_outcome(
         req.point.index as u64,
         &req.point.label,
@@ -362,7 +363,7 @@ mod tests {
         assert!(entry.is_done());
         let got = result_from_value(entry.payload.as_ref().unwrap()).unwrap();
         let (expect, _) =
-            measure_point_isolated(&plan.points[0], &exec, &policy, &TraceTable::default());
+            measure_point_isolated(&plan.points[0], &exec, &policy, &StreamTable::new(None, []));
         assert_eq!(Some(&got), expect.completed());
         assert_eq!(got.vm_total.to_bits(), expect.completed().unwrap().vm_total.to_bits());
     }

@@ -554,22 +554,27 @@ impl Raw {
             Raw::Int(n) => {
                 u64::try_from(n).map_err(|_| format!("{key} must be a non-negative size, got {n}"))
             }
-            Raw::Str(s) => parse_size(&s)
-                .ok_or_else(|| format!("{key}: `{s}` is not a size (try 16384, \"16K\", \"1M\")")),
+            Raw::Str(s) => parse_size(&s).map_err(|e| format!("{key}: {e}")),
             other => Err(format!("{key} expects a size, got {}", other.type_name())),
         }
     }
 }
 
-/// Parses `"16K"` / `"1M"` / `"512"` into bytes.
-fn parse_size(s: &str) -> Option<u64> {
+/// Parses a byte size, `512`, `16K` or `1M`, the one size grammar of
+/// spec files and `repro` flags.
+///
+/// # Errors
+///
+/// Names the text when it is not a size or when it overflows 64 bits.
+pub fn parse_size(s: &str) -> Result<u64, String> {
     let s = s.trim();
-    let (num, mult) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 1u64 << 10),
-        'm' | 'M' => (&s[..s.len() - 1], 1 << 20),
-        _ => (s, 1),
+    let (num, shift) = match s.as_bytes().last() {
+        Some(b'k' | b'K') => (&s[..s.len() - 1], 10),
+        Some(b'm' | b'M') => (&s[..s.len() - 1], 20),
+        _ => (s, 0),
     };
-    num.parse::<u64>().ok().map(|n| n.saturating_mul(mult))
+    let n: u64 = num.parse().map_err(|_| format!("`{s}` is not a size (e.g. 512, 16K, 1M)"))?;
+    n.checked_mul(1u64 << shift).ok_or_else(|| format!("`{s}` overflows 64 bits"))
 }
 
 /// Renders a byte count as its shortest TOML value (`"16K"`, `"1M"`, or
@@ -703,6 +708,61 @@ mod tests {
         .unwrap();
         assert_eq!(spec.l1_bytes, 32 << 10);
         assert_eq!(spec.l2_bytes, 2 << 20);
+    }
+
+    #[test]
+    fn an_overflowing_size_is_refused_naming_the_overflow() {
+        // 2^44 + 1 MiB overflows 64 bits; a saturating parse read 2^64 - 1 bytes.
+        let text = "[mmu]\nkind = \"software-tlb\"\ntable = \"two-tier\"\n[cache]\nl2 = \"17592186044417M\"\n";
+        let err = SystemSpec::parse(text).unwrap_err().to_string();
+        assert!(err.contains("cache.l2: `17592186044417M` overflows 64 bits"), "{err}");
+    }
+
+    /// The validation error of `specs/NAME` with `extra` appended.
+    fn shipped_spec_refusal(name: &str, extra: &str) -> String {
+        let path = format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).unwrap() + extra;
+        SystemSpec::parse(&text).unwrap().validate().unwrap_err().to_string()
+    }
+
+    #[test]
+    fn an_l1_past_the_host_memory_limit_is_refused_before_allocation() {
+        let err = shipped_spec_refusal("ultrix.toml", "[cache]\nl1 = \"8388608M\"\n");
+        assert_eq!(
+            err,
+            "spec `ULTRIX`: cannot build simulation: its caches, TLBs and page tables would \
+             take 2199023396864 bytes of host memory, over the 1073741824-byte limit"
+        );
+    }
+
+    #[test]
+    fn an_l2_past_the_host_memory_limit_is_refused_before_allocation() {
+        let err = shipped_spec_refusal("ultrix.toml", "[cache]\nl2 = \"16777216M\"\n");
+        assert_eq!(
+            err,
+            "spec `ULTRIX`: cannot build simulation: its caches, TLBs and page tables would \
+             take 2199023269888 bytes of host memory, over the 1073741824-byte limit"
+        );
+    }
+
+    #[test]
+    fn a_tlb_past_the_host_memory_limit_is_refused_before_allocation() {
+        let err = shipped_spec_refusal("ultrix.toml", "[tlb]\nentries = 4000000000\n");
+        assert_eq!(
+            err,
+            "spec `ULTRIX`: cannot build simulation: its caches, TLBs and page tables would \
+             take 320000135168 bytes of host memory, over the 1073741824-byte limit"
+        );
+    }
+
+    #[test]
+    fn a_hashed_table_past_its_span_is_refused_before_allocation() {
+        let err = shipped_spec_refusal("pa-risc.toml", "[memory]\nphys = \"16777216M\"\n");
+        assert_eq!(
+            err,
+            "spec `PA-RISC`: cannot build simulation: a hashed page table of 8589934592 entries \
+             overruns its reserved span of 180224 (physical memory is limited to 256 MB)"
+        );
     }
 
     #[test]

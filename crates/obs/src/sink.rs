@@ -143,11 +143,6 @@ impl<S> SharedSink<S> {
         f(&self.0.borrow())
     }
 
-    /// Runs a closure with exclusive access to the inner sink.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-
     /// Unwraps the inner sink if this is the last handle.
     pub fn try_unwrap(self) -> Result<S, SharedSink<S>> {
         Rc::try_unwrap(self.0).map(RefCell::into_inner).map_err(SharedSink)

@@ -38,6 +38,10 @@ pub struct HashedConfig {
 }
 
 impl HashedConfig {
+    /// The most entries the table's reserved span of simulated physical
+    /// memory holds: 256 MB of physical memory at the 2:1 ratio.
+    pub const MAX_ENTRIES: u64 = (CRT_BASE - HPT_BASE) / HASHED_PTE_BYTES;
+
     /// The paper's configuration: 8 MB physical memory, 4096 entries
     /// (2:1), software-managed.
     pub fn paper() -> HashedConfig {
@@ -100,17 +104,18 @@ impl HashedWalker {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a non-zero power of two.
+    /// Panics if `entries` is not a non-zero power of two or exceeds
+    /// [`HashedConfig::MAX_ENTRIES`].
     pub fn new(config: HashedConfig) -> HashedWalker {
         assert!(
             config.entries > 0 && config.entries.is_power_of_two(),
             "hashed table entries must be a non-zero power of two"
         );
         assert!(
-            HPT_BASE + config.entries * HASHED_PTE_BYTES <= CRT_BASE,
-            "hashed table of {} entries overruns its reserved span (max physical memory \
-             for the default layout is ~350 MB)",
-            config.entries
+            config.entries <= HashedConfig::MAX_ENTRIES,
+            "hashed table of {} entries overruns its reserved span of {}",
+            config.entries,
+            HashedConfig::MAX_ENTRIES
         );
         HashedWalker {
             config,

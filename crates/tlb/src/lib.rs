@@ -263,6 +263,13 @@ pub struct Tlb {
 }
 
 impl Tlb {
+    /// Host bytes a new TLB of `entries` holds: its slot array and an
+    /// index sized for every slot. Saturates at `u64::MAX`.
+    pub fn table_bytes(entries: usize) -> u64 {
+        let per_entry = std::mem::size_of::<Slot>() + std::mem::size_of::<(Vpn, usize)>();
+        (entries as u64).saturating_mul(per_entry as u64)
+    }
+
     /// Creates an empty TLB. `seed` drives random replacement; the same
     /// seed reproduces the same eviction sequence.
     pub fn new(config: TlbConfig, seed: u64) -> Tlb {

@@ -201,6 +201,33 @@ fn draining_sheds_new_submissions() {
 }
 
 #[test]
+fn a_spec_past_the_host_memory_limit_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+    let addr = server.local_addr().unwrap();
+    let serve = std::thread::spawn(move || server.serve());
+    let mut c = Client::connect(addr).unwrap();
+
+    // Two 16 TiB L2 tag arrays: validating the spec used to allocate
+    // them and abort the daemon.
+    let spec = format!("{}\n[cache]\nl2 = \"16777216M\"\n", include_str!("../specs/ultrix.toml"));
+    let submit = Value::obj([
+        ("req", "submit".into()),
+        ("spec", spec.into()),
+        ("sweep", Value::Arr(Vec::new())),
+        ("warmup", 2_000u64.into()),
+        ("measure", 10_000u64.into()),
+    ]);
+    let refused = c.request(&submit).unwrap();
+    assert!((400..500).contains(&code(&refused)), "{refused}");
+
+    let health = c.request(&Value::obj([("req", "health".into())])).unwrap();
+    assert_eq!(health.get("state").and_then(Value::as_str), Some("serving"), "{health}");
+    c.request(&Value::obj([("req", "drain".into())])).unwrap();
+    let summary = serve.join().unwrap().expect("drain must exit cleanly");
+    assert_eq!(summary.admitted, 0);
+}
+
+#[test]
 fn drain_then_resume_is_bit_identical() {
     let run = |state_dir: Option<PathBuf>, resume: bool, interrupt: bool| -> Value {
         let config = ServeConfig { workers: 1, state_dir, resume, ..ServeConfig::default() };
