@@ -10,6 +10,7 @@ use vm_ptable::{
     RefillMode, TlbRefill, UltrixWalker, X86Walker,
 };
 use vm_tlb::{Replacement, Tlb, TlbConfig, TlbConfigError};
+use vm_types::PAGE_SIZE;
 
 use crate::sim::{AsidMode, MemorySystem, Mmu};
 
@@ -499,13 +500,18 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`BuildError`] if the cache, TLB or hashed-table geometry
-    /// is invalid, or if the configuration takes over [`MAX_HOST_BYTES`].
+    /// is invalid, if a hashed or inverted table's physical memory holds
+    /// no page, or if the configuration takes over [`MAX_HOST_BYTES`].
     pub fn build(&self) -> Result<MemorySystem, BuildError> {
         let hashed = HashedConfig::scaled(self.phys_mem_bytes).entries;
-        if matches!(self.system, SystemKind::PaRisc | SystemKind::Hybrid)
-            && hashed > HashedConfig::MAX_ENTRIES
-        {
+        let hashed_table = matches!(self.system, SystemKind::PaRisc | SystemKind::Hybrid);
+        if hashed_table && hashed > HashedConfig::MAX_ENTRIES {
             return Err(BuildError::Table(hashed));
+        }
+        if (hashed_table || self.system == SystemKind::InvertedHat)
+            && self.phys_mem_bytes < PAGE_SIZE
+        {
+            return Err(BuildError::NoFrame(self.phys_mem_bytes));
         }
         let caches = self.build_caches()?;
 
@@ -566,6 +572,9 @@ pub enum BuildError {
     /// A hashed page table of this many entries would overrun its
     /// reserved span ([`HashedConfig::MAX_ENTRIES`]).
     Table(u64),
+    /// A hashed or inverted table's physical memory of this many bytes
+    /// holds no page frame.
+    NoFrame(u64),
     /// The configuration would hold this many host bytes, over
     /// [`MAX_HOST_BYTES`].
     TooLarge(u64),
@@ -582,6 +591,11 @@ impl fmt::Display for BuildError {
                  reserved span of {} (physical memory is limited to 256 MB)",
                 HashedConfig::MAX_ENTRIES
             ),
+            BuildError::NoFrame(bytes) => write!(
+                f,
+                "cannot build simulation: physical memory of {bytes} bytes holds no \
+                 {PAGE_SIZE}-byte page frame"
+            ),
             BuildError::TooLarge(bytes) => write!(
                 f,
                 "cannot build simulation: its caches, TLBs and page tables would take \
@@ -596,7 +610,7 @@ impl Error for BuildError {
         match self {
             BuildError::Cache(e) => Some(e),
             BuildError::Tlb(e) => Some(e),
-            BuildError::Table(_) | BuildError::TooLarge(_) => None,
+            BuildError::Table(_) | BuildError::NoFrame(_) | BuildError::TooLarge(_) => None,
         }
     }
 }

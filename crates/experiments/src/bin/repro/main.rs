@@ -26,10 +26,9 @@ use vm_experiments::{
     telemetry, tlbsize, total,
 };
 use vm_experiments::{set_global_verbosity, Claim, Reporter, RunScale, Verbosity};
-use vm_explore::{Axis, ExecConfig, HardenPolicy, SystemSpec};
+use vm_explore::{seeded_from_journal, Axis, ExecConfig, HardenPolicy, SystemSpec};
 use vm_fleet::{
-    fleet_plan, run_fleet, seed_fleet_resume, Backend, ControlChannel, FleetOptions, FleetSession,
-    WatchProxy,
+    fleet_plan, run_fleet, Backend, ControlChannel, FleetOptions, FleetSession, WatchProxy,
 };
 use vm_harden::{Journal, JournalWriter, RetryPolicy};
 use vm_obs::json::Value;
@@ -612,130 +611,124 @@ fn upload_trace(addr: &str, name: &str, bytes: &[u8], chunk_bytes: usize) -> Res
     let code_of = |v: &Value| v.get("code").and_then(Value::as_u64).unwrap_or(0);
     let mut client = connect()?;
     'sync: loop {
-        // Where does the daemon think this upload stands?
-        let status =
-            client.request(&Value::obj([("req", "upload-status".into()), ("name", name.into())]));
-        let status = match status {
-            Ok(v) => v,
-            Err(e) => {
-                spend_retry(&e)?;
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                client = connect()?;
-                continue 'sync;
-            }
-        };
-        if status.get("state").and_then(Value::as_str) == Some("committed") {
-            println!(
-                "trace `{name}` is already committed — submit jobs against workload trace:{name}"
-            );
-            return Ok(());
-        }
-        // Open or resume. Identical declaration resumes the partial;
-        // the daemon answers with the first missing sequence number.
-        let begin = client.request(&Value::obj([
-            ("req", "upload-begin".into()),
-            ("name", name.into()),
-            ("bytes", total.into()),
-            ("fnv", hex64(fnv).into()),
-        ]));
-        let begin = match begin {
-            Ok(v) => v,
-            Err(e) => {
-                spend_retry(&e)?;
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                client = connect()?;
-                continue 'sync;
-            }
-        };
-        match code_of(&begin) {
-            200 => {}
-            429 => {
-                let wait = begin.get("retry_after").and_then(Value::as_u64).unwrap_or(500);
-                spend_retry("backpressure (429)")?;
-                reporter.progress(format!("daemon backpressured; retrying in {wait}ms"));
-                std::thread::sleep(std::time::Duration::from_millis(wait.min(5_000)));
-                continue 'sync;
-            }
-            code => {
-                let detail = begin.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
-                return Err(format!("upload-begin rejected ({code}): {detail}"));
-            }
-        }
-        let id = begin.get("upload").and_then(Value::as_u64).ok_or("response lacks upload id")?;
-        let mut offset = begin.get("staged").and_then(Value::as_u64).unwrap_or(0) as usize;
-        let mut seq = begin.get("next_seq").and_then(Value::as_u64).unwrap_or(0);
-        if begin.get("resumed") == Some(&Value::Bool(true)) {
-            reporter
-                .progress(format!("resuming upload {id} at chunk {seq} ({offset} bytes staged)"));
-        }
-        while offset < bytes.len() {
-            let end = (offset + chunk_bytes).min(bytes.len());
-            let chunk = &bytes[offset..end];
-            let req = Value::obj([
-                ("req", "upload-chunk".into()),
-                ("upload", id.into()),
-                ("seq", seq.into()),
-                ("fnv", hex64(fnv1a(chunk)).into()),
-                ("data", b64_encode(chunk).into()),
-            ]);
-            let resp = match client.request(&req) {
+        // One pass from sync to commit; a transport fault ends it with
+        // the error, and the next pass starts on a fresh connection.
+        let fault = 'pass: {
+            // Where does the daemon think this upload stands?
+            let status = client
+                .request(&Value::obj([("req", "upload-status".into()), ("name", name.into())]));
+            let status = match status {
                 Ok(v) => v,
-                Err(e) => {
-                    spend_retry(&e)?;
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                    client = connect()?;
-                    continue 'sync;
-                }
+                Err(e) => break 'pass e,
             };
-            match code_of(&resp) {
-                200 => {
-                    seq = resp.get("next_seq").and_then(Value::as_u64).unwrap_or(seq + 1);
-                    offset =
-                        resp.get("staged").and_then(Value::as_u64).unwrap_or(end as u64) as usize;
-                }
-                400 => {
-                    // Checksum/encoding rejection: the staged prefix is
-                    // intact, resend this same sequence number.
-                    let detail = resp.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
-                    spend_retry(detail)?;
-                    reporter.progress(format!("chunk {seq} rejected ({detail}); resending"));
-                }
-                409 => {
-                    spend_retry("sequence drift (409)")?;
-                    continue 'sync;
-                }
-                code => {
-                    let detail = resp.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
-                    return Err(format!("chunk {seq} rejected ({code}): {detail}"));
-                }
-            }
-        }
-        let commit = match client
-            .request(&Value::obj([("req", "upload-commit".into()), ("upload", id.into())]))
-        {
-            Ok(v) => v,
-            Err(e) => {
-                spend_retry(&e)?;
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                client = connect()?;
-                continue 'sync;
-            }
-        };
-        match code_of(&commit) {
-            200 => {
-                let records = commit.get("records").and_then(Value::as_u64).unwrap_or(0);
+            if status.get("state").and_then(Value::as_str) == Some("committed") {
                 println!(
-                    "committed trace `{name}`: {total} bytes, {records} record(s), fnv {} — \
-                     submit jobs against workload trace:{name}",
-                    hex64(fnv)
+                    "trace `{name}` is already committed — submit jobs against workload \
+                     trace:{name}"
                 );
                 return Ok(());
             }
-            code => {
-                let detail = commit.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
-                return Err(format!("upload-commit rejected ({code}): {detail}"));
+            // Open or resume. Identical declaration resumes the partial;
+            // the daemon answers with the first missing sequence number.
+            let begin = client.request(&Value::obj([
+                ("req", "upload-begin".into()),
+                ("name", name.into()),
+                ("bytes", total.into()),
+                ("fnv", hex64(fnv).into()),
+            ]));
+            let begin = match begin {
+                Ok(v) => v,
+                Err(e) => break 'pass e,
+            };
+            match code_of(&begin) {
+                200 => {}
+                429 => {
+                    let wait = begin.get("retry_after").and_then(Value::as_u64).unwrap_or(500);
+                    spend_retry("backpressure (429)")?;
+                    reporter.progress(format!("daemon backpressured; retrying in {wait}ms"));
+                    std::thread::sleep(std::time::Duration::from_millis(wait.min(5_000)));
+                    continue 'sync;
+                }
+                code => {
+                    let detail =
+                        begin.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
+                    return Err(format!("upload-begin rejected ({code}): {detail}"));
+                }
             }
-        }
+            let id =
+                begin.get("upload").and_then(Value::as_u64).ok_or("response lacks upload id")?;
+            let mut offset = begin.get("staged").and_then(Value::as_u64).unwrap_or(0) as usize;
+            let mut seq = begin.get("next_seq").and_then(Value::as_u64).unwrap_or(0);
+            if begin.get("resumed") == Some(&Value::Bool(true)) {
+                reporter.progress(format!(
+                    "resuming upload {id} at chunk {seq} ({offset} bytes staged)"
+                ));
+            }
+            while offset < bytes.len() {
+                let end = (offset + chunk_bytes).min(bytes.len());
+                let chunk = &bytes[offset..end];
+                let req = Value::obj([
+                    ("req", "upload-chunk".into()),
+                    ("upload", id.into()),
+                    ("seq", seq.into()),
+                    ("fnv", hex64(fnv1a(chunk)).into()),
+                    ("data", b64_encode(chunk).into()),
+                ]);
+                let resp = match client.request(&req) {
+                    Ok(v) => v,
+                    Err(e) => break 'pass e,
+                };
+                match code_of(&resp) {
+                    200 => {
+                        seq = resp.get("next_seq").and_then(Value::as_u64).unwrap_or(seq + 1);
+                        offset = resp.get("staged").and_then(Value::as_u64).unwrap_or(end as u64)
+                            as usize;
+                    }
+                    400 => {
+                        // Checksum/encoding rejection: the staged prefix is
+                        // intact, resend this same sequence number.
+                        let detail =
+                            resp.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
+                        spend_retry(detail)?;
+                        reporter.progress(format!("chunk {seq} rejected ({detail}); resending"));
+                    }
+                    409 => {
+                        spend_retry("sequence drift (409)")?;
+                        continue 'sync;
+                    }
+                    code => {
+                        let detail =
+                            resp.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
+                        return Err(format!("chunk {seq} rejected ({code}): {detail}"));
+                    }
+                }
+            }
+            let commit = client
+                .request(&Value::obj([("req", "upload-commit".into()), ("upload", id.into())]));
+            let commit = match commit {
+                Ok(v) => v,
+                Err(e) => break 'pass e,
+            };
+            match code_of(&commit) {
+                200 => {
+                    let records = commit.get("records").and_then(Value::as_u64).unwrap_or(0);
+                    println!(
+                        "committed trace `{name}`: {total} bytes, {records} record(s), fnv {} — \
+                         submit jobs against workload trace:{name}",
+                        hex64(fnv)
+                    );
+                    return Ok(());
+                }
+                code => {
+                    let detail =
+                        commit.get("error").and_then(Value::as_str).unwrap_or("(no detail)");
+                    return Err(format!("upload-commit rejected ({code}): {detail}"));
+                }
+            }
+        };
+        spend_retry(&fault)?;
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        client = connect()?;
     }
 }
 
@@ -846,46 +839,25 @@ fn fleet_cmd(a: &Args) -> Result<(), String> {
 
     let mut session = FleetSession::default();
     if let Some(path) = &fleet_journal {
-        if resume {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let prior = seed_fleet_resume(&text, &fplan.plan, &exec)?;
-            reporter.progress(format!(
-                "resume: {} completed point(s) restored from {} ({} dispatch note(s))",
-                prior.seeded.len(),
-                path.display(),
-                prior.assigns
-            ));
-            session.seeded = prior.seeded;
+        let file = if resume {
             // The prior coordinator already wrote the header; this run
             // appends to its lines.
-            session.write_header = false;
-            // A SIGKILL can tear the final line mid-write; appending
-            // after it would fuse the torn tail with this run's first
-            // line. Drop the tail (seeding already tolerated it).
-            if !text.is_empty() && !text.ends_with('\n') {
-                let keep = text.rfind('\n').map_or(0, |p| p + 1);
-                let file = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .map_err(|e| format!("cannot reopen {}: {e}", path.display()))?;
-                file.set_len(keep as u64)
-                    .map_err(|e| format!("cannot trim {}: {e}", path.display()))?;
-            }
+            let (journal, file) = Journal::reopen(path)?;
+            session.seeded = seeded_from_journal(&journal, &fplan.plan, &exec)?;
+            reporter.progress(format!(
+                "resume: {} completed point(s) restored from {} ({} dispatch note(s))",
+                session.seeded.len(),
+                path.display(),
+                journal.assigns
+            ));
+            file
         } else {
             // A fresh run owns the file outright: stale lines from an
             // unrelated run must never leak into this run's resume.
-            match std::fs::remove_file(path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(format!("cannot reset {}: {e}", path.display())),
-            }
             session.write_header = true;
-        }
-        session.journal = Some(
-            JournalWriter::open_path(path)
-                .map_err(|e| format!("cannot open {}: {e}", path.display()))?,
-        );
+            Journal::create(path)?
+        };
+        session.journal = Some(JournalWriter::boxed(file));
     }
     if let Some(addr) = a.value("--join-addr") {
         let control = ControlChannel::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;

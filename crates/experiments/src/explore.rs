@@ -108,11 +108,12 @@ pub fn run(cfg: &Config, capture_events: bool, reporter: &Reporter) -> Result<Ex
         return Err(msg);
     }
 
-    // Resume: verify the journal matches this plan and scale, then seed
-    // its completed points (failed points get re-run).
-    let seeded = match &cfg.resume {
-        Some(path) => {
-            let journal = Journal::load(path)?;
+    // Resume: verify the journal matches this plan and scale, seed its
+    // completed points (failed points get re-run) and keep appending to
+    // it. `--journal` starts a fresh one, truncating any stale run.
+    let (seeded, writer) = match (&cfg.resume, &cfg.journal) {
+        (Some(path), _) => {
+            let (journal, file) = Journal::reopen(path)?;
             let seeded = seeded_from_journal(&journal, &plan, &cfg.exec)?;
             reporter.progress(format!(
                 "resuming from {}: {} of {} points already done",
@@ -120,30 +121,16 @@ pub fn run(cfg: &Config, capture_events: bool, reporter: &Reporter) -> Result<Ex
                 seeded.len(),
                 plan.points.len()
             ));
-            seeded
-        }
-        None => Default::default(),
-    };
-
-    // Journal target: `--resume` keeps appending to the same file;
-    // `--journal` starts a fresh one (truncating any stale run).
-    let writer = match (&cfg.resume, &cfg.journal) {
-        (Some(path), _) => {
-            let file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-            Some(Mutex::new(JournalWriter::boxed(file)))
+            (seeded, Some(JournalWriter::boxed(file)))
         }
         (None, Some(path)) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-            let mut w = JournalWriter::boxed(file);
+            let mut w = JournalWriter::boxed(Journal::create(path)?);
             w.header(&run_header(&plan, &cfg.exec));
-            Some(Mutex::new(w))
+            (Default::default(), Some(w))
         }
-        (None, None) => None,
+        (None, None) => (Default::default(), None),
     };
+    let writer = writer.map(Mutex::new);
 
     reporter.progress(format!(
         "exploring {} point{} ({} skipped) with {} job{}",

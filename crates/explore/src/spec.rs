@@ -756,13 +756,28 @@ mod tests {
     }
 
     #[test]
-    fn a_hashed_table_past_its_span_is_refused_before_allocation() {
+    fn a_table_sized_by_physical_memory_out_of_bounds_is_refused_before_allocation() {
         let err = shipped_spec_refusal("pa-risc.toml", "[memory]\nphys = \"16777216M\"\n");
         assert_eq!(
             err,
             "spec `PA-RISC`: cannot build simulation: a hashed page table of 8589934592 entries \
              overruns its reserved span of 180224 (physical memory is limited to 256 MB)"
         );
+        // Under one page, the hashed (PA-RISC, HYBRID) and inverted
+        // (INV-HAT) tables have no frame to map.
+        let mmus = ["", "[mmu]\nkind = \"hardware-tlb\"\n", "[mmu]\ntable = \"inverted\"\n"];
+        for (mmu, phys) in mmus.into_iter().zip([0, 4095, 0]) {
+            let err =
+                shipped_spec_refusal("pa-risc.toml", &format!("{mmu}[memory]\nphys = {phys}\n"));
+            assert_eq!(
+                err,
+                format!(
+                    "spec `PA-RISC`: cannot build simulation: physical memory of {phys} bytes \
+                     holds no 4096-byte page frame"
+                ),
+                "{mmu}"
+            );
+        }
     }
 
     #[test]

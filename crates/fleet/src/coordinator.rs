@@ -37,11 +37,13 @@
 //!   [`Backend::probe`], and on a passing probe rejoins with a fresh
 //!   [`Breaker`] but a *reduced* dispatch budget — no hedging — until
 //!   it completes one point cleanly.
-//! * **Crash-resume** ([`crate::resume`]): an optional fleet journal
-//!   records every dispatch (`assign` note) and every resolution
-//!   (standard point entry, payload included) as they happen, so a
-//!   SIGKILLed coordinator can be restarted with the completed points
-//!   seeded and only the remainder re-dispatched.
+//! * **Crash-resume**: an optional fleet journal records every dispatch
+//!   (`assign` note) and every resolution (standard point entry,
+//!   payload included) as they happen, so a SIGKILLed coordinator can
+//!   be restarted with the completed points seeded and only the
+//!   remainder re-dispatched. It reopens and seeds like any resumed
+//!   run: [`vm_harden::Journal::reopen`], then
+//!   [`vm_explore::seeded_from_journal`].
 //!
 //! On top of all of that sits the **integrity layer** (docs/robustness.md).
 //! Attestations catch payloads mutated *after* signing, but a backend
@@ -66,7 +68,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use vm_explore::{plan_fingerprint, run_header, ExecConfig};
+use vm_explore::{plan_fingerprint, result_to_value, run_header, ExecConfig, PointResult};
 use vm_harden::{
     Breaker, DynJournalWriter, FailureKind, JournalEntry, PointOutcome, RetryPolicy, SimError,
 };
@@ -79,10 +81,20 @@ use crate::backend::{Backend, ShutdownOutcome};
 use crate::membership::{join_response, ControlChannel, ControlCmd, Slot, SlotState};
 use crate::merge::{merge, rebind_payload, MergeSet, MergedRun, Offer};
 use crate::plan::FleetPlan;
-use crate::resume::assign_note;
 use crate::shard::shard_of;
 use crate::watch::fan_in_backend;
 use crate::EvictPolicy;
+
+/// The `assign` note recorded per dispatch: which backend a point went
+/// to. Pure provenance — [`vm_harden::Journal::parse`] counts these
+/// notes and resume seeds from point entries only.
+fn assign_note(point: usize, backend: usize) -> Value {
+    Value::obj([
+        ("j", "assign".into()),
+        ("point", (point as u64).into()),
+        ("backend", (backend as u64).into()),
+    ])
+}
 
 /// Knobs for one fleet run.
 #[derive(Debug, Clone)]
@@ -151,9 +163,10 @@ pub struct FleetSession {
     /// Whether to write a fresh run header into the journal (`false`
     /// when appending to a resumed journal that already has one).
     pub write_header: bool,
-    /// Completed payloads replayed from a prior coordinator's journal;
-    /// these points are never re-dispatched.
-    pub seeded: BTreeMap<usize, Value>,
+    /// Completed results replayed from a prior coordinator's journal
+    /// ([`vm_explore::seeded_from_journal`]); these points are never
+    /// re-dispatched.
+    pub seeded: BTreeMap<usize, PointResult>,
     /// Control channel served for `join` / `leave` / `roster` verbs.
     pub control: Option<ControlChannel>,
 }
@@ -1225,8 +1238,10 @@ pub fn run_fleet<S: Sink>(
     let home: Vec<usize> = fplan.plan.points.iter().map(|p| shard_of(&p.label, initial)).collect();
     let mut set = MergeSet::new(total);
     let mut resumed = 0usize;
-    for (ix, payload) in seeded {
-        if ix < total && set.offer(ix, payload) == Offer::Won {
+    for (ix, mut result) in seeded {
+        // Restamp the global index, as fan-in does (`rebind_payload`).
+        result.index = ix;
+        if ix < total && set.offer(ix, result_to_value(&result)) == Offer::Won {
             resumed += 1;
         }
     }

@@ -24,9 +24,6 @@
 //! * [`membership`] — elastic membership: the slot lifecycle
 //!   (active → probation → rejoin, or dead/left) and the coordinator's
 //!   `join`/`leave`/`roster` control channel, served on its own thread.
-//! * [`resume`] — coordinator crash-resume: the fleet-journal dialect
-//!   (assignment notes plus payload-bearing point entries) and the
-//!   fingerprint-checked seeding a restarted coordinator replays.
 //! * [`mod@merge`] — first-result-wins dedup and the bit-exact merge: shard
 //!   payloads round-trip through the `vm_explore` result codec into a
 //!   journal byte-identical to a clean single-node `--jobs 1` run.
@@ -49,7 +46,6 @@ pub mod coordinator;
 pub mod membership;
 pub mod merge;
 pub mod plan;
-pub mod resume;
 pub mod shard;
 pub mod watch;
 
@@ -58,7 +54,6 @@ pub use coordinator::{run_fleet, FleetOptions, FleetOutcome, FleetSession, SlotR
 pub use membership::{ControlChannel, ControlCmd, Slot, SlotState};
 pub use merge::{merge, rebind_payload, MergeSet, MergedRun, Offer};
 pub use plan::{fleet_plan, FleetPlan};
-pub use resume::{assign_note, read_fleet_journal, seed_fleet_resume, FleetResume};
 pub use shard::{partition, shard_of};
 /// When the fleet evicts a backend: more than `max_failures` transport
 /// or job failures inside the sliding `window`.

@@ -20,10 +20,15 @@
 //! bit-exact point results in it); `fingerprint` ties a journal to the
 //! exact plan (point labels and run lengths) that produced it, so a
 //! resume against a different sweep is rejected instead of silently
-//! merging apples into oranges.
+//! merging apples into oranges. The fleet coordinator also appends
+//! `{"j":"assign",...}` dispatch notes, which the parser counts.
+//!
+//! Resumable runs (`repro explore`, daemon jobs, `repro fleet`) reopen a
+//! journal file only through [`Journal::reopen`]; [`Journal::create`]
+//! starts one afresh.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -390,10 +395,9 @@ impl<W: SyncWrite> JournalWriter<W> {
         self.append(&entry.to_value());
     }
 
-    /// Appends an arbitrary JSON line — for journal dialects (like the
-    /// vm-fleet coordinator journal) that interleave their own record
-    /// kinds with standard header/point lines. [`Journal::parse`] rejects
-    /// unknown `"j"` kinds, so such dialects bring their own reader.
+    /// Appends an arbitrary JSON line, such as the fleet coordinator's
+    /// `assign` notes. [`Journal::parse`] counts `assign` notes and
+    /// rejects any other `"j"` kind it does not know.
     pub fn note(&mut self, v: &Value) {
         self.append(v);
     }
@@ -444,6 +448,22 @@ fn snippet(line: &str) -> String {
     }
 }
 
+/// `bytes` as journal text. A tear can split a multi-byte character, so
+/// bytes that are not UTF-8 past the last newline end the text there:
+/// they belong to the torn final line the parser drops.
+fn journal_text(bytes: &[u8]) -> Result<&str, String> {
+    let e = match std::str::from_utf8(bytes) {
+        Ok(text) => return Ok(text),
+        Err(e) => e,
+    };
+    let (valid, rest) = bytes.split_at(e.valid_up_to());
+    if rest.contains(&b'\n') {
+        let line = valid.iter().filter(|&&b| b == b'\n').count() + 1;
+        return Err(format!("journal line {line}: not UTF-8 at byte offset {}", valid.len()));
+    }
+    Ok(std::str::from_utf8(valid).expect("UTF-8 up to the first invalid byte"))
+}
+
 /// A parsed journal: the most recent header and every point entry in
 /// file order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -453,6 +473,9 @@ pub struct Journal {
     /// Point entries in append order (an index may repeat; later lines
     /// supersede earlier ones).
     pub entries: Vec<JournalEntry>,
+    /// `assign` notes: the fleet coordinator's dispatch provenance,
+    /// counted but never seeded from.
+    pub assigns: u64,
 }
 
 impl Journal {
@@ -464,6 +487,12 @@ impl Journal {
     /// partial line (the tell-tale of a crash mid-append) is ignored —
     /// that is exactly the case journals exist to survive.
     pub fn parse(text: &str) -> Result<Journal, String> {
+        Journal::parse_kept(text).map(|(journal, _)| journal)
+    }
+
+    /// [`Journal::parse`], also returning how many leading bytes of
+    /// `text` it kept: all of them, or all up to a torn final line.
+    fn parse_kept(text: &str) -> Result<(Journal, usize), String> {
         let mut journal = Journal::default();
         let lines: Vec<&str> = text.lines().collect();
         for (i, raw) in lines.iter().enumerate() {
@@ -471,17 +500,17 @@ impl Journal {
             if line.is_empty() {
                 continue;
             }
+            // `lines()` yields subslices of `text`, so pointer distance
+            // is the line's exact byte offset.
+            let offset = raw.as_ptr() as usize - text.as_ptr() as usize;
             let v = match json::parse(line) {
                 Ok(v) => v,
                 // A torn final line is a crash artifact, not corruption.
-                Err(_) if i + 1 == lines.len() => continue,
+                Err(_) if i + 1 == lines.len() => return Ok((journal, offset)),
                 // Mid-file garbage is corruption; locate it precisely
                 // (line, byte offset, a snippet) so an operator can find
                 // and hand-repair the damaged line.
                 Err(e) => {
-                    // `lines()` yields subslices of `text`, so pointer
-                    // distance is the line's exact byte offset.
-                    let offset = raw.as_ptr() as usize - text.as_ptr() as usize;
                     return Err(format!(
                         "journal line {} (byte offset {offset}): {e} in `{}`",
                         i + 1,
@@ -498,12 +527,13 @@ impl Journal {
                 Some("point") => journal.entries.push(
                     JournalEntry::from_value(&v).map_err(|e| format!("line {}: {e}", i + 1))?,
                 ),
+                Some("assign") => journal.assigns += 1,
                 other => {
                     return Err(format!("journal line {}: unknown entry type {other:?}", i + 1))
                 }
             }
         }
-        Ok(journal)
+        Ok((journal, text.len()))
     }
 
     /// Loads and parses a journal file.
@@ -512,9 +542,52 @@ impl Journal {
     ///
     /// Returns a message for unreadable files or malformed lines.
     pub fn load(path: &Path) -> Result<Journal, String> {
-        let text = std::fs::read_to_string(path)
+        let bytes = std::fs::read(path)
             .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        Journal::parse(&text)
+        Journal::parse(journal_text(&bytes)?)
+    }
+
+    /// Creates the journal file at `path` for a fresh run, truncating
+    /// any earlier run's lines.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the file cannot be created.
+    pub fn create(path: &Path) -> Result<File, String> {
+        File::create(path).map_err(|e| format!("cannot create journal {}: {e}", path.display()))
+    }
+
+    /// Reopens the journal file at `path` to resume the run it records:
+    /// parses it as [`Journal::parse`] does, cuts the torn final line a
+    /// kill may have left, and returns the journal with the file open
+    /// for appending. What the journal holds is then exactly what stays
+    /// on disk, and the next appended line starts on a line of its own.
+    /// A missing file is created and reads as an empty journal.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the file cannot be opened, read or
+    /// trimmed, or holds a malformed line before its last.
+    pub fn reopen(path: &Path) -> Result<(Journal, File), String> {
+        let fail =
+            |what: &str, e: io::Error| format!("cannot {what} journal {}: {e}", path.display());
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(|e| fail("open", e))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(|e| fail("read", e))?;
+        let text = journal_text(&bytes)?;
+        let (journal, kept) = Journal::parse_kept(text)?;
+        file.set_len(kept as u64).map_err(|e| fail("trim", e))?;
+        // A whole final line whose newline never landed still counts;
+        // end it so the next append does not fuse with it.
+        if kept > 0 && !text[..kept].ends_with('\n') {
+            file.write_all(b"\n").map_err(|e| fail("trim", e))?;
+        }
+        Ok((journal, file))
     }
 
     /// The latest entry per point index (append order wins).
@@ -606,6 +679,59 @@ mod tests {
         let offset = mid.find("garbage{").unwrap();
         assert!(err.starts_with(&format!("journal line 2 (byte offset {offset}):")), "{err}");
         assert!(err.contains("`garbage{"), "snippet names the offending line: {err}");
+    }
+
+    #[test]
+    fn assign_notes_are_counted_and_other_kinds_rejected() {
+        let mut w = JournalWriter::new(Vec::new(), 1);
+        w.header(&header());
+        w.note(&Value::obj([("j", "assign".into()), ("point", 0u64.into())]));
+        w.record(&done_entry(0));
+        let text = String::from_utf8(w.finish().unwrap()).unwrap();
+        let j = Journal::parse(&text).unwrap();
+        assert_eq!((j.assigns, j.entries.len()), (1, 1));
+        let err = Journal::parse(&text.replace("assign", "bogus")).unwrap_err();
+        assert_eq!(err, "journal line 2: unknown entry type Some(\"bogus\")");
+    }
+
+    #[test]
+    fn reopen_cuts_a_torn_tail_so_appends_start_on_a_fresh_line() {
+        let dir = std::env::temp_dir().join(format!("vm-harden-reopen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        let (j, _) = Journal::reopen(&path).unwrap();
+        assert_eq!(j, Journal::default(), "a missing file is an empty journal");
+
+        let mut w = JournalWriter::new(Journal::create(&path).unwrap(), 1);
+        w.header(&header());
+        w.record(&done_entry(0));
+        w.finish().unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let next = done_entry(1).to_line();
+        let accented = "{\"j\":\"point\",\"label\":\"é".as_bytes();
+        // A torn copy of the next line, one torn inside a multi-byte
+        // character, and a whole line without the newline that ends it.
+        let tails = [
+            (&next.as_bytes()[..next.len() / 2], 1),
+            (&accented[..accented.len() - 1], 1),
+            (next.as_bytes(), 2),
+        ];
+        for (tail, kept) in tails {
+            std::fs::write(&path, [&whole[..], tail].concat()).unwrap();
+            let (j, file) = Journal::reopen(&path).unwrap();
+            assert_eq!(j.entries.len(), kept, "{tail:?}");
+            let mut w = JournalWriter::new(file, 1);
+            w.record(&done_entry(2));
+            w.finish().unwrap();
+            let j = Journal::load(&path).unwrap();
+            assert_eq!(j.entries.len(), kept + 1, "{tail:?}");
+        }
+        std::fs::write(&path, [&whole[..], b"\xff\n", &whole[..]].concat()).unwrap();
+        let err = Journal::reopen(&path).unwrap_err();
+        assert_eq!(err, format!("journal line 3: not UTF-8 at byte offset {}", whole.len()));
+        drop(Journal::create(&path).unwrap());
+        assert_eq!(Journal::load(&path).unwrap(), Journal::default(), "create truncates");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -41,7 +41,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use vm_explore::{run_header, run_sweep_hardened, seeded_from_journal, HardenPolicy, PointResult};
+use vm_explore::{
+    run_header, run_sweep_hardened, seeded_from_journal, ExecConfig, HardenPolicy, PointResult,
+    SweepPlan,
+};
 use vm_harden::{
     classify_panic, quiet_panics, ChaosPlan, FailureKind, Journal, JournalWriter, RetryPolicy,
     SimError, SyncWrite,
@@ -657,18 +660,17 @@ fn execute_job(
 ) -> Result<JobOutcome, String> {
     let plan = spec.plan()?;
     let exec = spec.exec();
-    let (seeded, fresh) = match shared.journal_file(spec.id) {
-        Some(path) if path.exists() => {
-            let journal = Journal::load(&path)?;
-            let seeded = seeded_from_journal(&journal, &plan, &exec)?;
-            (seeded, journal.header.is_none())
-        }
-        _ => (BTreeMap::new(), true),
-    };
+    let (seeded, fresh, target): (_, _, Box<dyn SyncWrite + Send>) =
+        match shared.journal_file(spec.id) {
+            Some(path) => {
+                let (journal, file) = Journal::reopen(&path)?;
+                (seed_job(&journal, &plan, &exec)?, journal.header.is_none(), Box::new(file))
+            }
+            None => (BTreeMap::new(), true, Box::new(NullSync)),
+        };
     done_points.store(seeded.len() as u64, Ordering::Relaxed);
 
-    let counting = CountingWrite::new(open_journal_target(shared, spec.id)?, done_points);
-    let mut writer = JournalWriter::boxed(counting);
+    let mut writer = JournalWriter::boxed(CountingWrite::new(target, done_points));
     if fresh {
         writer.header(&run_header(&plan, &exec));
     }
@@ -719,17 +721,17 @@ fn execute_job(
     Ok(JobOutcome { results, failures, resumed })
 }
 
-fn open_journal_target(shared: &Shared, id: u64) -> Result<Box<dyn SyncWrite + Send>, String> {
-    match shared.journal_file(id) {
-        Some(path) => {
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
-            Ok(Box::new(file))
-        }
-        None => Ok(Box::new(NullSync)),
+/// The completed points a job's journal seeds. A journal with no header
+/// (the job never ran, or was killed before its header landed) seeds
+/// nothing, and the job runs from the start.
+fn seed_job(
+    journal: &Journal,
+    plan: &SweepPlan,
+    exec: &ExecConfig,
+) -> Result<BTreeMap<usize, PointResult>, String> {
+    match journal.header {
+        Some(_) => seeded_from_journal(journal, plan, exec),
+        None => Ok(BTreeMap::new()),
     }
 }
 
@@ -863,12 +865,7 @@ fn load_persisted_job(shared: &Shared, path: &Path, id: u64) -> Result<Job, Stri
 
     let seeded = match shared.journal_file(id) {
         Some(journal_path) if journal_path.exists() => {
-            let journal = Journal::load(&journal_path)?;
-            if journal.header.is_none() {
-                BTreeMap::new()
-            } else {
-                seeded_from_journal(&journal, &plan, &exec)?
-            }
+            seed_job(&Journal::load(&journal_path)?, &plan, &exec)?
         }
         _ => BTreeMap::new(),
     };

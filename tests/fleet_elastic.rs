@@ -12,12 +12,14 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use vm_experiments::explore::ExploreRun;
-use vm_explore::{run_header, run_sweep_hardened, Axis, ExecConfig, HardenPolicy, PointResult};
-use vm_fleet::{
-    fleet_plan, run_fleet, seed_fleet_resume, Backend, ControlChannel, FleetOptions, FleetPlan,
-    FleetSession,
+use vm_explore::{
+    run_header, run_sweep_hardened, seeded_from_journal, Axis, ExecConfig, HardenPolicy,
+    PointResult,
 };
-use vm_harden::{JournalWriter, RetryPolicy, SharedBuf};
+use vm_fleet::{
+    fleet_plan, run_fleet, Backend, ControlChannel, FleetOptions, FleetPlan, FleetSession,
+};
+use vm_harden::{Journal, JournalWriter, RetryPolicy, SharedBuf};
 use vm_obs::json::Value;
 use vm_obs::{Event, EvictReason, NopSink, RecordingSink, Reporter};
 use vm_serve::{Client, ServeConfig, Server};
@@ -228,9 +230,20 @@ fn the_fleet_journal_resumes_byte_identically_at_every_truncation() {
     // header + one assign and one done per point.
     assert_eq!(lines.len(), 1 + 2 * total, "unexpected fleet journal shape:\n{full}");
 
+    // Each cut is written to a file and reopened with the shared call
+    // `repro fleet --resume` makes.
+    let dir = std::env::temp_dir().join(format!("vm-fleet-truncation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.journal");
+    let reopen = |text: &str| {
+        std::fs::write(&path, text).unwrap();
+        let (journal, file) = Journal::reopen(&path).unwrap();
+        (seeded_from_journal(&journal, &fplan.plan, &exec), file)
+    };
+
     // Truncating before the header is not resumable — a crash that
     // early left nothing to vouch for the plan.
-    assert!(seed_fleet_resume("", &fplan.plan, &exec).unwrap_err().contains("no run header"));
+    assert!(reopen("").0.unwrap_err().contains("no run header"));
 
     // Every later cut resumes: seeded points are replayed, the rest are
     // re-dispatched, and the merge converges to the same bytes. A torn
@@ -245,10 +258,9 @@ fn the_fleet_journal_resumes_byte_identically_at_every_truncation() {
                     None => continue,
                 }
             }
-            let seed = seed_fleet_resume(&prefix, &fplan.plan, &exec)
-                .unwrap_or_else(|e| panic!("cut {cut} torn {torn}: {e}"));
-            let expect_seeded = seed.seeded.len();
-            let resumed_buf = SharedBuf::new();
+            let (seeded, file) = reopen(&prefix);
+            let seeded = seeded.unwrap_or_else(|e| panic!("cut {cut} torn {torn}: {e}"));
+            let expect_seeded = seeded.len();
             let outcome = run_fleet(
                 &fplan,
                 &exec,
@@ -258,9 +270,9 @@ fn the_fleet_journal_resumes_byte_identically_at_every_truncation() {
                 &mut NopSink,
                 None,
                 FleetSession {
-                    journal: Some(JournalWriter::boxed(resumed_buf.clone())),
+                    journal: Some(JournalWriter::boxed(file)),
                     write_header: false,
-                    seeded: seed.seeded,
+                    seeded,
                     control: None,
                 },
             )
@@ -272,16 +284,17 @@ fn the_fleet_journal_resumes_byte_identically_at_every_truncation() {
                 outcome.merged.journal, reference_journal,
                 "cut {cut} torn {torn}: journal bytes drifted"
             );
-            // The surviving journal prefix plus this run's appended
-            // lines must itself seed a complete resume: crash-resume
-            // composes. (The CLI trims a torn tail before appending, so
-            // the stitched file is the untorn prefix plus new lines.)
-            let stitched = format!("{}\n{}", lines[..cut].join("\n"), resumed_buf.text());
-            let reseed = seed_fleet_resume(&stitched, &fplan.plan, &exec)
+            // The reopened journal plus this run's appended lines must
+            // itself seed a complete resume: crash-resume composes. (The
+            // reopen call trims a torn tail, so this run's first line
+            // starts on a line of its own.)
+            let stitched = Journal::load(&path)
+                .and_then(|j| seeded_from_journal(&j, &fplan.plan, &exec))
                 .unwrap_or_else(|e| panic!("cut {cut} torn {torn} stitched: {e}"));
-            assert_eq!(reseed.seeded.len(), total, "cut {cut} torn {torn}: stitched journal");
+            assert_eq!(stitched.len(), total, "cut {cut} torn {torn}: stitched journal");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
     drain(addr, handle);
 }
 

@@ -18,7 +18,7 @@ use vm_explore::{
     result_to_value, run_header, run_sweep_hardened, Axis, ExecConfig, HardenPolicy, PointResult,
 };
 use vm_fleet::{fleet_plan, run_fleet, Backend, EvictPolicy, FleetOptions, FleetPlan};
-use vm_harden::{ChaosPlan, JournalEntry, JournalWriter, PointOutcome, SharedBuf};
+use vm_harden::{ChaosPlan, Journal, JournalEntry, JournalWriter, PointOutcome, SharedBuf};
 use vm_obs::{Event, EvictReason, NopSink, RecordingSink, Reporter};
 use vm_serve::{Client, ServeConfig, Server};
 
@@ -235,7 +235,8 @@ fn resume_refuses_a_journal_signed_by_a_different_context() {
 
     // Library level: seeding names the point and carries [integrity].
     let text = String::from_utf8(buf.contents()).unwrap();
-    let err = vm_fleet::seed_fleet_resume(&text, &fplan.plan, &exec).unwrap_err();
+    let journal = Journal::parse(&text).unwrap();
+    let err = vm_explore::seeded_from_journal(&journal, &fplan.plan, &exec).unwrap_err();
     assert!(err.contains("[integrity]"), "{err}");
     assert!(err.contains("context mismatch"), "{err}");
     assert!(err.contains("point 0"), "{err}");

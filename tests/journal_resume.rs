@@ -6,21 +6,24 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use vm_core::SystemKind;
+use vm_experiments::explore;
 use vm_explore::{
     run_header, run_sweep_hardened, seeded_from_journal, Axis, ExecConfig, HardenPolicy,
-    SweepOutcome, SweepPlan, SystemSpec,
+    PointResult, SweepOutcome, SweepPlan, SystemSpec,
 };
 use vm_harden::{ChaosPlan, Journal, JournalWriter, SharedBuf};
 use vm_obs::{NopSink, Reporter};
 
 /// 4 TLB sizes × 3 L1 sizes = 12 points.
-fn plan_12() -> SweepPlan {
-    let base = SystemSpec::for_kind(SystemKind::Ultrix);
-    let axes = [
+fn axes_12() -> Vec<Axis> {
+    vec![
         Axis::parse("tlb.entries=16,32,64,128").unwrap(),
         Axis::parse("cache.l1=8K,16K,32K").unwrap(),
-    ];
-    SweepPlan::expand(&base, &axes).unwrap()
+    ]
+}
+
+fn plan_12() -> SweepPlan {
+    SweepPlan::expand(&SystemSpec::for_kind(SystemKind::Ultrix), &axes_12()).unwrap()
 }
 
 const EXEC: ExecConfig = ExecConfig { warmup: 2_000, measure: 10_000, jobs: 3 };
@@ -30,7 +33,7 @@ const EXEC: ExecConfig = ExecConfig { warmup: 2_000, measure: 10_000, jobs: 3 };
 fn journaled_run(
     plan: &SweepPlan,
     policy: &HardenPolicy,
-    seeded: BTreeMap<usize, vm_explore::PointResult>,
+    seeded: BTreeMap<usize, PointResult>,
 ) -> (SweepOutcome, String) {
     let buf = SharedBuf::new();
     let mut w = JournalWriter::boxed(buf.clone());
@@ -60,6 +63,14 @@ fn killed_after_any_prefix_resume_is_bit_identical() {
 
     let lines: Vec<&str> = full_text.lines().collect();
     assert_eq!(lines.len(), 13, "header + 12 point entries");
+    let every_point: BTreeMap<usize, PointResult> = uninterrupted
+        .outcomes
+        .iter()
+        .enumerate()
+        .map(|(ix, o)| (ix, o.completed().unwrap().clone()))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("vm-journal-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
 
     for k in [0usize, 3, 7, 12] {
         // Keep the header and the first k point appends, then a torn
@@ -80,7 +91,26 @@ fn killed_after_any_prefix_resume_is_bit_identical() {
         // The resumed journal holds exactly the re-run points.
         let appended = Journal::parse(&resumed_text).unwrap();
         assert_eq!(appended.entries.len(), 12 - k, "k={k}");
+
+        // The same cut on disk, resumed in place as `repro explore
+        // --resume` does: the file must then seed every point, bit-exact.
+        let path = dir.join(format!("k{k}.jsonl"));
+        std::fs::write(&path, &survived).unwrap();
+        let cfg = explore::Config {
+            bases: vec![SystemSpec::for_kind(SystemKind::Ultrix)],
+            axes: axes_12(),
+            exec: EXEC,
+            resume: Some(path.clone()),
+            ..explore::Config::default()
+        };
+        let run = explore::run(&cfg, false, &Reporter::silent()).expect("resume in place");
+        assert_eq!(run.resumed, k, "k={k}");
+        let on_disk = Journal::load(&path)
+            .and_then(|j| seeded_from_journal(&j, &plan, &EXEC))
+            .unwrap_or_else(|e| panic!("k={k}: {e}"));
+        assert_eq!(on_disk, every_point, "k={k}: the resumed file must seed every point");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

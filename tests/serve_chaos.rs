@@ -251,33 +251,53 @@ fn drain_then_resume_is_bit_identical() {
             }
             Value::Null
         } else {
-            wait_state(&mut c, 1, |s| s == "done");
+            wait_state(&mut c, 1, |s| s == "done" || s == "failed");
             c.request(&req("result", 1)).unwrap()
         };
         c.request(&Value::obj([("req", "drain".into())])).unwrap();
         serve.join().unwrap().expect("drain must exit cleanly");
         result
     };
-
-    // Interrupted lifetime, then a resumed lifetime over the same state.
-    let dir = temp_dir("resume");
-    run(Some(dir.clone()), false, true);
-    let resumed = run(Some(dir.clone()), true, false);
-    assert_eq!(resumed.get("state").and_then(Value::as_str), Some("done"));
-    assert!(
-        resumed.get("resumed").and_then(Value::as_u64).unwrap() >= 1,
-        "the second lifetime must seed from the journal: {resumed}"
-    );
+    let field = |v: &Value, k: &str| v.get(k).map(Value::to_string).unwrap_or_default();
 
     // Reference: the same job in a single uninterrupted lifetime.
     let reference = run(None, false, false);
-    assert_eq!(
-        resumed.get("results").unwrap().to_string(),
-        reference.get("results").unwrap().to_string(),
-        "drain + resume must be bit-identical to an uninterrupted run"
-    );
-    assert_eq!(resumed.get("failures").unwrap().to_string(), "[]");
-    let _ = std::fs::remove_dir_all(&dir);
+
+    // Interrupted lifetime, then a resumed lifetime over the same state:
+    // with the journal as the drain left it, with a torn final line (a
+    // kill mid-append), and emptied (a kill before the header landed).
+    for damage in ["none", "torn", "empty"] {
+        let dir = temp_dir(&format!("resume-{damage}"));
+        run(Some(dir.clone()), false, true);
+        let journal = dir.join("job-000001.journal");
+        match damage {
+            "torn" => {
+                let mut f = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+                f.write_all(b"{\"j\":\"point\",\"index\":3,\"lab").unwrap();
+            }
+            "empty" => std::fs::write(&journal, "").unwrap(),
+            _ => {}
+        }
+        let resumed = run(Some(dir.clone()), true, false);
+        assert_eq!(resumed.get("state").and_then(Value::as_str), Some("done"), "{damage}");
+        let seeded = resumed.get("resumed").and_then(Value::as_u64).unwrap();
+        assert!(
+            (seeded >= 1) == (damage != "empty"),
+            "{damage}: only a journal with a header seeds the second lifetime: {resumed}"
+        );
+        assert_eq!(
+            field(&resumed, "results"),
+            field(&reference, "results"),
+            "{damage}: drain + resume must be bit-identical to an uninterrupted run"
+        );
+        assert_eq!(field(&resumed, "failures"), "[]", "{damage}");
+
+        // A third lifetime restores the finished job from its journal.
+        let restored = run(Some(dir.clone()), true, false);
+        assert_eq!(restored.get("state").and_then(Value::as_str), Some("done"), "{damage}");
+        assert_eq!(field(&restored, "results"), field(&reference, "results"), "{damage}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Runs `n` single-point jobs back to back, checking after each that
