@@ -21,11 +21,9 @@ use std::time::Duration;
 use cli::{Args, VERBS};
 use vm_core::cost::CostModel;
 use vm_core::{SimConfig, SystemKind};
-use vm_experiments::{
-    ablations, explore, fig6, fig8, interrupts, mcpi, multiprog, registry, suite, tables,
-    telemetry, tlbsize, total,
-};
-use vm_experiments::{set_global_verbosity, Claim, Reporter, RunScale, Verbosity};
+use vm_experiments::registry::{self, Settings};
+use vm_experiments::{explore, telemetry};
+use vm_experiments::{set_global_verbosity, Reporter, RunScale, Verbosity};
 use vm_explore::{seeded_from_journal, Axis, ExecConfig, HardenPolicy, SystemSpec};
 use vm_fleet::{
     fleet_plan, run_fleet, Backend, ControlChannel, FleetOptions, FleetSession, WatchProxy,
@@ -59,12 +57,17 @@ fn repro(argv: &[String]) -> Result<(), String> {
     run().map_err(|e| format!("{}: {e}", verb.title()))
 }
 
-/// Writes an export buffer to `path`, reporting the outcome on stderr.
-fn write_export(reporter: &Reporter, path: &Path, bytes: &[u8]) {
-    match std::fs::write(path, bytes) {
-        Ok(()) => reporter.progress(format!("wrote {} ({} bytes)", path.display(), bytes.len())),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+/// Writes one `--out`, `--events` or `--chrome-trace` file; an error
+/// comes back as the line to print.
+fn write_output(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Reporter::global().progress(format!("wrote {} ({} bytes)", path.display(), bytes.len()));
+    Ok(())
+}
+
+/// Creates the `--out` directory.
+fn create_out_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))
 }
 
 /// The `run` verb: one custom simulation, full report.
@@ -160,11 +163,10 @@ fn run_one(a: &Args) -> Result<(), String> {
         s.walk_memrefs.mean(),
         im.p50
     );
-    if let (Some(path), Some(buf)) = (&events, &tele.events_jsonl) {
-        write_export(&reporter, path, buf);
-    }
-    if let (Some(path), Some(buf)) = (&chrome, &tele.chrome_trace) {
-        write_export(&reporter, path, buf);
+    for (path, bytes) in [(events, tele.events_jsonl), (chrome, tele.chrome_trace)] {
+        if let (Some(path), Some(bytes)) = (path, bytes) {
+            write_output(&path, &bytes)?;
+        }
     }
     Ok(())
 }
@@ -225,23 +227,18 @@ fn write_sweep_outputs(
     run: &explore::ExploreRun,
     events: Option<&[u8]>,
 ) -> Result<(), String> {
-    let reporter = Reporter::global();
     if let Some(dir) = a.path("--out") {
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        create_out_dir(&dir)?;
         for (name, csv) in [
             ("explore", run.to_csv()),
             ("explore-frontier", run.frontier_to_csv()),
             ("explore-sensitivity", run.sensitivity_to_csv()),
         ] {
-            let path = dir.join(format!("{name}.csv"));
-            std::fs::write(&path, csv.as_bytes())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            reporter.progress(format!("wrote {}", path.display()));
+            write_output(&dir.join(format!("{name}.csv")), csv.as_bytes())?;
         }
     }
-    if let (Some(path), Some(buf)) = (a.path("--events"), events) {
-        write_export(&reporter, &path, buf);
+    if let (Some(path), Some(bytes)) = (a.path("--events"), events) {
+        write_output(&path, bytes)?;
     }
     Ok(())
 }
@@ -1067,69 +1064,60 @@ fn verify_cmd(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The experiment runner's settings.
-struct Options {
-    scale: RunScale,
-    threads: usize,
-    out: Option<PathBuf>,
-    workload: Option<vm_trace::WorkloadSpec>,
-    events: Option<PathBuf>,
-    chrome: Option<PathBuf>,
-}
-
-/// The experiment runner: each named experiment (default `all`) in
-/// turn, then the tally of paper claims.
+/// The experiment runner: runs each named experiment (default `all`) in
+/// turn, prints its report and writes its files, then prints the tally
+/// of paper claims.
 fn experiments_cmd(a: &Args) -> Result<(), String> {
-    let opts = Options {
+    let (out, events, chrome) = (a.path("--out"), a.path("--events"), a.path("--chrome-trace"));
+    let settings = Settings {
         scale: a.scale().unwrap_or(RunScale::DEFAULT),
         threads: a.num("--threads")?.unwrap_or_else(parallelism),
-        out: a.path("--out"),
         workload: a.workload()?,
-        events: a.path("--events"),
-        chrome: a.path("--chrome-trace"),
+        events: events.is_some(),
+        chrome: chrome.is_some(),
     };
-    let reporter = Reporter::global();
-    let all = ["all".to_owned()];
-    let names = if a.positional.is_empty() { &all[..] } else { &a.positional[..] };
-
-    // Group aliases and name validation both come from the registry.
-    let mut expanded = Vec::new();
-    for n in names {
-        match n.as_str() {
-            "figs" => expanded.extend(registry::fig_names()),
-            "all" => expanded.extend(registry::all_names()),
-            known if registry::is_known(known) => expanded.push(n.clone()),
-            other => {
-                return Err(format!(
-                    "unknown experiment `{other}` (known: {})",
-                    registry::name_line()
-                ))
-            }
-        }
-    }
+    let mut names =
+        if a.positional.is_empty() { vec!["all".to_owned()] } else { a.positional.clone() };
     // --events/--chrome-trace imply the instrumented pass.
-    if (opts.events.is_some() || opts.chrome.is_some())
-        && !expanded.iter().any(|n| n == "telemetry")
-    {
-        expanded.push("telemetry".to_owned());
+    if (settings.events || settings.chrome) && !names.iter().any(|n| n == "telemetry") {
+        names.push("telemetry".to_owned());
+    }
+    let experiments = registry::select(&names)?;
+    // A directory that cannot be made fails the run before any work.
+    if let Some(dir) = &out {
+        create_out_dir(dir)?;
     }
 
     let started = std::time::Instant::now();
-    let mut all_claims = Vec::new();
-    for name in &expanded {
+    let mut claims = Vec::new();
+    for experiment in &experiments {
         let t = std::time::Instant::now();
-        run_experiment(name, &opts, &reporter, &mut all_claims)?;
-        reporter.progress(format!("[{name}] finished in {:.1}s", t.elapsed().as_secs_f64()));
+        let output = (experiment.run)(&settings);
+        println!("{}", output.text);
+        let csv = out.as_ref().map(|dir| dir.join(format!("{}.csv", experiment.name)));
+        let files = [
+            (csv, output.csv.map(String::into_bytes)),
+            (events.clone(), output.events),
+            (chrome.clone(), output.chrome),
+        ];
+        for (path, bytes) in files {
+            if let (Some(path), Some(bytes)) = (path, bytes) {
+                write_output(&path, &bytes)?;
+            }
+        }
+        claims.extend(output.claims);
+        let (name, seconds) = (experiment.name, t.elapsed().as_secs_f64());
+        Reporter::global().progress(format!("[{name}] finished in {seconds:.1}s"));
     }
-    if !all_claims.is_empty() {
-        let passed = all_claims.iter().filter(|c| c.holds).count();
+    if !claims.is_empty() {
+        let passed = claims.iter().filter(|c| c.holds).count();
         println!(
             "== overall: {passed}/{} paper claims reproduced in {:.1}s ==",
-            all_claims.len(),
+            claims.len(),
             started.elapsed().as_secs_f64()
         );
-        if a.has("--strict") && passed != all_claims.len() {
-            return Err(format!("--strict: {passed}/{} paper claims held", all_claims.len()));
+        if a.has("--strict") && passed != claims.len() {
+            return Err(format!("--strict: {passed}/{} paper claims held", claims.len()));
         }
     }
     Ok(())
@@ -1156,179 +1144,6 @@ fn reset_sigpipe() {
 
 fn parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn save(opts: &Options, name: &str, csv: &str) {
-    if let Some(dir) = &opts.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{name}.csv"));
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
-            Ok(()) => Reporter::global().progress(format!("wrote {}", path.display())),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-}
-
-fn report_claims(all: &mut Vec<Claim>, claims: Vec<Claim>) {
-    print!("{}", Claim::render_all(&claims));
-    all.extend(claims);
-}
-
-fn run_experiment(
-    name: &str,
-    opts: &Options,
-    reporter: &Reporter,
-    all_claims: &mut Vec<Claim>,
-) -> Result<(), String> {
-    match name {
-        "tables" => {
-            reporter.progress("== tables: cost parameters and system survey ==");
-            println!("{}", tables::render_all());
-        }
-        "fig6" | "fig7" => {
-            let default = if name == "fig6" { presets::gcc_spec() } else { presets::vortex_spec() };
-            let workload = opts.workload.clone().unwrap_or(default);
-            reporter.progress(format!(
-                "== {name}: VMCPI vs L1/L2 cache size and line size — {} ==",
-                workload.name
-            ));
-            let mut cfg = if opts.scale == RunScale::QUICK {
-                fig6::Config::quick(workload)
-            } else {
-                fig6::Config::paper(workload)
-            };
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = fig6::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "fig8" | "fig9" => {
-            let default = if name == "fig8" { presets::gcc_spec() } else { presets::vortex_spec() };
-            let workload = opts.workload.clone().unwrap_or(default);
-            reporter.progress(format!(
-                "== {name}: VMCPI break-downs — {} (64/128-byte lines) ==",
-                workload.name
-            ));
-            let mut cfg = if opts.scale == RunScale::QUICK {
-                fig8::Config::quick(workload)
-            } else {
-                fig8::Config::paper(workload)
-            };
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = fig8::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "fig10" => {
-            reporter.progress("== fig10: the cost of precise interrupts ==");
-            let mut cfg = interrupts::Config::paper(presets::paper_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = interrupts::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "fig11" => {
-            reporter.progress("== fig11: TLB-size sensitivity ==");
-            let mut cfg = tlbsize::Config::paper(vec![presets::gcc_spec(), presets::vortex_spec()]);
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = tlbsize::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "fig12" => {
-            reporter.progress("== fig12: cache misses inflicted on the application ==");
-            let mut cfg = mcpi::Config::paper(presets::paper_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = mcpi::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "fig13" => {
-            reporter.progress("== fig13: total VM overhead ==");
-            let mut cfg = total::Config::paper(presets::paper_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = total::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "abl-mp" => {
-            reporter.progress("== abl-mp: multiprogramming — ASID-tagged vs untagged TLBs ==");
-            let mut cfg = multiprog::Config::default_mix(vec![
-                presets::gcc_spec(),
-                presets::vortex_spec(),
-                presets::ijpeg_spec(),
-            ]);
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = multiprog::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "suite" => {
-            reporter.progress("== suite: six workloads x five systems, seed-replicated ==");
-            let mut cfg = suite::Config::default_suite(presets::all_benchmarks());
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = suite::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "abl-hybrid" | "abl-walkmode" | "abl-assoc" | "abl-tlb" | "abl-ctx" | "abl-unified" => {
-            let ablation = ablations::Ablation::ALL
-                .into_iter()
-                .find(|a| a.name() == name)
-                .expect("matched above");
-            reporter.progress(format!("== {name} =="));
-            let mut cfg =
-                ablations::Config::new(ablation, vec![presets::gcc_spec(), presets::vortex_spec()]);
-            cfg.scale = opts.scale;
-            cfg.threads = opts.threads;
-            let r = ablations::run(&cfg);
-            println!("{}", r.render());
-            save(opts, name, &r.to_csv());
-            report_claims(all_claims, r.claims());
-        }
-        "telemetry" => {
-            let workload = opts.workload.clone().unwrap_or_else(presets::gcc_spec);
-            reporter.progress(format!(
-                "== telemetry: instrumented pass over the paper systems — {} ==",
-                workload.name
-            ));
-            let cfg = telemetry::Config::paper_systems(workload, opts.scale);
-            let t = telemetry::run(&cfg, opts.events.is_some(), opts.chrome.is_some(), reporter);
-            println!("{}", t.render_summary());
-            if let (Some(path), Some(buf)) = (&opts.events, &t.events_jsonl) {
-                write_export(reporter, path, buf);
-            }
-            if let (Some(path), Some(buf)) = (&opts.chrome, &t.chrome_trace) {
-                write_export(reporter, path, buf);
-            }
-        }
-        other => {
-            // Names are validated against the registry before dispatch,
-            // so this only fires if the registry and this match drift.
-            return Err(format!("experiment `{other}` is registered but has no driver"));
-        }
-    }
-    println!();
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1458,6 +1273,26 @@ mod tests {
 
     fn path(p: &Path) -> &str {
         p.to_str().expect("a UTF-8 path")
+    }
+
+    #[test]
+    fn an_output_that_cannot_be_written_fails_the_run() {
+        // Nothing can be created under a regular file.
+        let dir = test_dir("unwritable");
+        let file = dir.join("file");
+        std::fs::write(&file, "").unwrap();
+        let under = file.join("sub");
+        // A bad --out fails the runner before any experiment runs.
+        let e = repro(&argv(&["fig10", "--quick", "--out", path(&under)])).unwrap_err();
+        assert!(e.starts_with(&format!("repro: cannot create {}: ", under.display())), "{e}");
+        for flag in ["--events", "--chrome-trace"] {
+            let e = repro(&argv(&["run", "--instrs", "1000", flag, path(&under)])).unwrap_err();
+            assert!(
+                e.starts_with(&format!("repro run: cannot write {}: ", under.display())),
+                "{e}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

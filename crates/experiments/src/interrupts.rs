@@ -9,11 +9,11 @@
 //! simulation per (system, workload) prices all three costs.
 
 use vm_core::cost::CostModel;
-use vm_core::{paper, SimConfig, SystemKind};
+use vm_core::{paper, SystemKind};
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, Outcome, RunScale};
+use crate::runner::{paper_grid, run_jobs, Outcome, RunScale};
 use crate::table::TextTable;
 
 /// Parameter space for the interrupt-cost experiment.
@@ -71,17 +71,7 @@ pub struct Result {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> Result {
-    let mut jobs = Vec::new();
-    for workload in &config.workloads {
-        for &system in &config.systems {
-            jobs.push(Job::new(
-                format!("{system}/{}", workload.name),
-                SimConfig::paper_default(system),
-                workload.clone(),
-                config.scale,
-            ));
-        }
-    }
+    let jobs = paper_grid(&config.workloads, &config.systems, config.scale);
     let outcomes = run_jobs(jobs, config.threads);
     let rows = outcomes
         .iter()

@@ -22,7 +22,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use vm_core::{BuildError, MemorySystem, SimConfig, SimReport};
+use vm_core::{BuildError, MemorySystem, SimConfig, SimReport, SystemKind};
 use vm_explore::stream::Source;
 pub use vm_explore::RunScale;
 use vm_explore::{run_batches, StreamTable};
@@ -81,6 +81,25 @@ impl Job {
     fn source(&self) -> Source {
         Source::Synthetic(self.workload.clone(), self.trace_seed)
     }
+}
+
+/// Every system of `systems` at its paper-default geometry on every
+/// workload, a workload's systems in the order given, each job labelled
+/// `SYSTEM/workload`.
+pub(crate) fn paper_grid(
+    workloads: &[WorkloadSpec],
+    systems: &[SystemKind],
+    scale: RunScale,
+) -> Vec<Job> {
+    workloads
+        .iter()
+        .flat_map(|w| {
+            systems.iter().map(move |&system| {
+                let label = format!("{system}/{}", w.name);
+                Job::new(label, SimConfig::paper_default(system), w.clone(), scale)
+            })
+        })
+        .collect()
 }
 
 /// A completed job.

@@ -7,11 +7,11 @@
 //! against the BASE (no-VM) simulation of the same trace.
 
 use vm_core::cost::CostModel;
-use vm_core::{paper, SimConfig, SystemKind};
+use vm_core::{paper, SystemKind};
 use vm_trace::WorkloadSpec;
 
 use crate::claim::Claim;
-use crate::runner::{run_jobs, Job, RunScale};
+use crate::runner::{paper_grid, run_jobs, RunScale};
 use crate::table::TextTable;
 
 /// Parameter space for the total-overhead experiment.
@@ -70,23 +70,9 @@ pub struct Result {
 
 /// Runs the experiment.
 pub fn run(config: &Config) -> Result {
-    let mut jobs = Vec::new();
-    for workload in &config.workloads {
-        jobs.push(Job::new(
-            format!("BASE/{}", workload.name),
-            SimConfig::paper_default(SystemKind::Base),
-            workload.clone(),
-            config.scale,
-        ));
-        for &system in &config.systems {
-            jobs.push(Job::new(
-                format!("{system}/{}", workload.name),
-                SimConfig::paper_default(system),
-                workload.clone(),
-                config.scale,
-            ));
-        }
-    }
+    // BASE leads each workload's systems: their rows read its MCPI.
+    let systems = [&[SystemKind::Base][..], &config.systems].concat();
+    let jobs = paper_grid(&config.workloads, &systems, config.scale);
     let outcomes = run_jobs(jobs, config.threads);
     let cost = CostModel::default();
     let mut rows = Vec::new();
