@@ -331,8 +331,8 @@ fn explore_cmd(a: &Args) -> Result<(), String> {
     write_sweep_outputs(a, &run, run.events_jsonl.as_deref())
 }
 
-/// Set by the SIGTERM/SIGINT handler; the daemon's accept loop polls it
-/// and treats it exactly like a `drain` request.
+/// Set by the SIGTERM/SIGINT handler; the daemon's accept loop wakes
+/// within 10 ms of it and treats it exactly like a `drain` request.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn request_shutdown(_signum: i32) {

@@ -122,33 +122,33 @@ impl Backend {
     }
 
     /// One health round-trip: connect, `{"req":"health"}`, expect `ok`.
+    /// Returns the connection, still open, for the caller to reuse.
     ///
     /// # Errors
     ///
     /// Returns a transient [`SimError`] naming the failing step, so the
     /// probe composes with [`with_retry_salted`].
-    pub fn probe(&self) -> Result<(), SimError> {
+    pub fn probe(&self) -> Result<Client, SimError> {
         let fail = |detail: String| SimError::new(self.addr.clone(), FailureKind::Io, detail);
         let mut client = Client::connect(&*self.addr).map_err(|e| fail(format!("connect: {e}")))?;
         let resp = client
             .request(&Value::obj([("req", "health".into())]))
             .map_err(|e| fail(format!("health: {e}")))?;
         match resp.get("ok") {
-            Some(Value::Bool(true)) => Ok(()),
+            Some(Value::Bool(true)) => Ok(client),
             _ => Err(fail(format!("health refused: {resp}"))),
         }
     }
 
     /// Probes the backend until it answers, with the policy's jittered
     /// backoff (salted by the backend id so a cold fleet spreads its
-    /// probes). Returns the attempts consumed.
+    /// probes). Returns the connection the passing probe opened.
     ///
     /// # Errors
     ///
     /// Returns the final probe error once the retries are exhausted.
-    pub fn health_check(&self, retry: &RetryPolicy) -> Result<u32, SimError> {
-        let (out, attempts) = with_retry_salted(retry, self.id as u64, |_| self.probe());
-        out.map(|()| attempts)
+    pub fn health_check(&self, retry: &RetryPolicy) -> Result<Client, SimError> {
+        with_retry_salted(retry, self.id as u64, |_| self.probe()).0
     }
 
     /// Drains and reaps a spawned child (no-op for address backends)

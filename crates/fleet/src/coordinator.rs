@@ -107,8 +107,6 @@ pub struct FleetOptions {
     /// How long a point may be in flight before an idle backend hedges
     /// it. `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// Status-poll interval while a job runs.
-    pub poll: Duration,
     /// Distinct dispatches a point may fail on before it is recorded as
     /// permanently failed.
     pub max_dispatch: u32,
@@ -140,7 +138,6 @@ impl Default for FleetOptions {
             health_retry: RetryPolicy::new(3),
             evict: EvictPolicy::default(),
             hedge_after: Some(Duration::from_millis(2_000)),
-            poll: Duration::from_millis(5),
             max_dispatch: 3,
             point_budget: None,
             retries: 0,
@@ -871,14 +868,17 @@ fn driver(b: usize, backend: &Backend, shared: &Shared<'_>, gate: bool) {
             return;
         }
     }
+    // The gate's connection carries the slot's first job.
+    let mut client: Option<Client> = None;
     if gate {
-        if let Err(e) = backend.health_check(&opts.health_retry) {
-            let _ = e;
-            shared.evict(b, opts.health_retry.retries + 1, EvictReason::Health);
-            return;
+        match backend.health_check(&opts.health_retry) {
+            Ok(gated) => client = Some(gated),
+            Err(_) => {
+                shared.evict(b, opts.health_retry.retries + 1, EvictReason::Health);
+                return;
+            }
         }
     }
-    let mut client: Option<Client> = None;
     let mut breaker = Breaker::new(opts.evict);
     let mut consecutive = 0u32;
     let mut last_active = Instant::now();
@@ -1075,7 +1075,9 @@ fn decode_failure(v: &Value, fallback_label: &str) -> SimError {
     }
 }
 
-/// Runs point `ix` on `backend` as one single-point job.
+/// Runs point `ix` on `backend` as one single-point job: submit, then
+/// `result` with `wait`, repeated while the daemon answers `202`, so the
+/// result is read the moment the job finishes.
 ///
 /// Outer `Err` = transport/backend fault (requeue, blame the backend);
 /// inner `Err` = the point itself failed on a working backend.
@@ -1114,21 +1116,16 @@ fn run_point(
         return Err("backend admitted the job at degraded fidelity".to_owned());
     }
     let job = resp.get("job").and_then(Value::as_u64).ok_or("submit response without job id")?;
-    loop {
-        let resp = c.request(&Value::obj([("req", "status".into()), ("job", job.into())]))?;
-        match resp.get("state").and_then(Value::as_str) {
-            Some("done") => break,
-            Some(s @ ("failed" | "cancelled")) => {
-                let detail = resp.get("error").and_then(Value::as_str).unwrap_or("");
-                return Err(format!("job {job} {s} on {}: {detail}", backend.addr));
-            }
-            Some(_) => std::thread::sleep(opts.poll),
-            None => return Err(format!("malformed status: {resp}")),
+    let wait = Value::obj([("req", "result".into()), ("job", job.into()), ("wait", true.into())]);
+    let resp = loop {
+        let resp = c.request(&wait)?;
+        if resp.get("code").and_then(Value::as_u64) != Some(202) {
+            break resp;
         }
-    }
-    let resp = c.request(&Value::obj([("req", "result".into()), ("job", job.into())]))?;
-    if resp.get("ok") != Some(&Value::Bool(true)) {
-        return Err(format!("result refused: {resp}"));
+    };
+    // A failed (`500`), cancelled or vanished job is the backend's fault.
+    if resp.get("state").and_then(Value::as_str) != Some("done") {
+        return Err(format!("job {job} did not finish on {}: {resp}", backend.addr));
     }
     let failures = resp.get("failures").and_then(Value::as_array).unwrap_or(&[]);
     if let Some(f) = failures.first() {

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vm_obs::json::{self, Value};
-use vm_serve::conn::{self, accept_until, Conn, MAX_REQUEST_BYTES};
+use vm_serve::conn::{accept_until, Conn, MAX_REQUEST_BYTES};
 use vm_serve::{error_response, ok_response, ProtoError};
 
 use crate::backend::Backend;
@@ -162,7 +162,7 @@ impl ControlChannel {
     ///
     /// Returns the bind error.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<ControlChannel> {
-        Ok(ControlChannel { listener: conn::bind(addr)? })
+        Ok(ControlChannel { listener: TcpListener::bind(addr)? })
     }
 
     /// The bound address.

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vm_obs::json::{self, Value};
-use vm_serve::conn::{self, accept_until, Conn, MAX_REQUEST_BYTES};
+use vm_serve::conn::{accept_until, Conn, MAX_REQUEST_BYTES};
 use vm_serve::watch::WATCH_BUFFER;
 use vm_serve::{error_response, ok_response, Client, ProtoError, WatchHub, PROTO_VERSION};
 
@@ -86,7 +86,7 @@ impl WatchProxy {
     ///
     /// Returns the bind error.
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<WatchProxy> {
-        Ok(WatchProxy { listener: conn::bind(addr)? })
+        Ok(WatchProxy { listener: TcpListener::bind(addr)? })
     }
 
     /// The bound address.

@@ -7,7 +7,8 @@
 //! workspace.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use vm_obs::json::Value;
@@ -19,38 +20,59 @@ use crate::watch::{lagged_frame, tick_frame, SubNext, WatchSub};
 /// otherwise (the daemon's `--max-request-bytes`).
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// Binds a listener for [`accept_until`]: non-blocking, so the loop can
-/// check its stop condition between accepts.
-///
-/// # Errors
-///
-/// Propagates the bind or socket-option failure.
-pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    Ok(listener)
-}
+/// How often [`accept_until`]'s helper re-checks the stop condition.
+const STOP_CHECK: Duration = Duration::from_millis(10);
 
-/// Accepts connections on a [`bind`]-made listener until `stopped()`
-/// turns true, handing each to `conn` on the accepting thread; a `conn`
-/// that spawns a thread serves connections concurrently. `stopped` is
-/// checked at least every 10 ms, and accept failures never end the loop.
+/// Accepts connections on a blocking listener until `stopped()` turns
+/// true, handing each to `conn` on the accepting thread; a `conn` that
+/// spawns a thread serves connections concurrently. A connection is
+/// accepted the moment it arrives.
+///
+/// `stopped` must stay true once it turns true. A parked helper thread
+/// re-checks it every 10 ms and then wakes the blocked `accept` by
+/// connecting to the listener itself (over loopback when the listener
+/// is bound to an unspecified address); that connection, like any
+/// accepted once `stopped` is true, is dropped and never reaches
+/// `conn`. Accept failures never end the loop.
 pub fn accept_until(
     listener: &TcpListener,
-    stopped: impl Fn() -> bool,
+    stopped: impl Fn() -> bool + Sync,
     mut conn: impl FnMut(TcpStream),
 ) {
-    while !stopped() {
-        match listener.accept() {
-            Ok((stream, _peer)) => conn(stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+    let Ok(wake) = listener.local_addr().map(self_addr) else { return };
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(|| {
+            let mut woken = false;
+            while !done.load(Ordering::Acquire) {
+                if !woken && stopped() {
+                    woken = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+                }
+                std::thread::park_timeout(STOP_CHECK);
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Transient accept failure (EMFILE, ECONNABORTED...): back
-            // off but keep the listener alive.
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        });
+        while !stopped() {
+            match listener.accept() {
+                Ok((stream, _peer)) if !stopped() => conn(stream),
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Transient accept failure (EMFILE, ECONNABORTED...): back
+                // off but keep the listener alive.
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
         }
+        done.store(true, Ordering::Release);
+        helper.thread().unpark();
+    });
+}
+
+/// The address a client on this host reaches `local` at: loopback in
+/// place of an unspecified (`0.0.0.0` or `::`) bind address.
+fn self_addr(local: SocketAddr) -> SocketAddr {
+    match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, local.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, local.port()).into(),
+        _ => local,
     }
 }
 
@@ -148,5 +170,66 @@ impl Conn {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// Serves `listener` on a thread, answering every request line with
+    /// `{"ok":true}` on a thread per connection as the daemon does, until
+    /// `stop` is set; the receiver yields once the loop has returned.
+    fn echo_until(listener: TcpListener, stop: &'static AtomicBool) -> mpsc::Receiver<()> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            accept_until(
+                &listener,
+                || stop.load(Ordering::Acquire),
+                |stream| {
+                    std::thread::spawn(move || {
+                        let mut conn = Conn::new(stream, Duration::from_secs(5), MAX_REQUEST_BYTES);
+                        while conn.next_line().is_some() {
+                            let _ = conn.write_line(&Value::obj([("ok", Value::Bool(true))]));
+                        }
+                    });
+                },
+            );
+            let _ = tx.send(());
+        });
+        rx
+    }
+
+    #[test]
+    fn an_idle_listener_accepts_each_connection_as_it_arrives() {
+        static STOP: AtomicBool = AtomicBool::new(false);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let ended = echo_until(listener, &STOP);
+        let ping = Value::obj([("req", "ping".into())]);
+        let started = Instant::now();
+        for _ in 0..20 {
+            let mut client = Client::connect(addr).unwrap();
+            assert_eq!(client.request(&ping).unwrap().get("ok"), Some(&Value::Bool(true)));
+        }
+        let took = started.elapsed();
+        // The loop is back in `accept` before each next client connects,
+        // so one that slept 10 ms whenever no connection was waiting
+        // would need about 200 ms for these 20 round trips.
+        assert!(took < Duration::from_millis(100), "20 round trips took {took:?}");
+        STOP.store(true, Ordering::Release);
+        ended.recv_timeout(Duration::from_secs(5)).expect("the loop ends once stopped");
+    }
+
+    #[test]
+    fn setting_the_stop_flag_ends_a_loop_no_client_ever_reached() {
+        static STOP: AtomicBool = AtomicBool::new(false);
+        let ended = echo_until(TcpListener::bind("0.0.0.0:0").unwrap(), &STOP);
+        assert!(ended.recv_timeout(Duration::from_millis(50)).is_err(), "ended before the stop");
+        STOP.store(true, Ordering::Release);
+        ended.recv_timeout(Duration::from_secs(5)).expect("the loop ends once stopped");
     }
 }

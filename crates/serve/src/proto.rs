@@ -10,8 +10,13 @@
 //! {"ok":true,"code":200,"job":1,"points":2,"degraded":false,"queue_depth":1}
 //! {"req":"status","job":1}
 //! {"req":"result","job":1}
+//! {"req":"result","job":1,"wait":true}
 //! {"ok":false,"code":503,"shed":true,"error":"queue full (8 queued)"}
 //! ```
+//!
+//! `result` answers `202` at once for an unfinished job; with
+//! `"wait":true` it first waits for the job to finish, up to
+//! [`RESULT_WAIT`], and answers `202` only if that passes first.
 //!
 //! The codes are a vocabulary, not an HTTP implementation: `200` served,
 //! `202` not finished yet, `400` malformed request or spec, `404`
@@ -26,12 +31,19 @@
 //! chunk bodies; 64-bit checksums cross the wire as 16-hex-digit
 //! strings because a JSON number is an `f64` and drops bits past 2^53.
 
+use std::time::Duration;
+
 use vm_explore::RunScale;
 use vm_obs::json::{self, Value};
 pub use vm_trace::wire::{hex64, parse_hex64};
 
 /// Protocol version, reported by `health`.
 pub const PROTO_VERSION: u64 = 1;
+
+/// The longest a `result` with `"wait":true` waits for its job to
+/// finish before answering `202` (well under [`crate::Client`]'s 30 s
+/// read timeout).
+pub const RESULT_WAIT: Duration = Duration::from_secs(5);
 
 /// A protocol-level rejection: status code plus human-readable reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,6 +126,9 @@ pub enum Request {
     Result {
         /// The job id to fetch.
         job: u64,
+        /// Wait for the job to finish (up to [`RESULT_WAIT`]) instead
+        /// of answering `202` at once.
+        wait: bool,
     },
     /// Cancel a queued or running job.
     Cancel {
@@ -195,7 +210,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     match req {
         "submit" => Ok(Request::Submit(parse_submit(&v)?)),
         "status" => Ok(Request::Status { job: job()? }),
-        "result" => Ok(Request::Result { job: job()? }),
+        "result" => {
+            let wait = match v.get("wait") {
+                None => false,
+                Some(Value::Bool(wait)) => *wait,
+                Some(_) => return Err(bad("`result` `wait` must be true or false".to_owned())),
+            };
+            Ok(Request::Result { job: job()?, wait })
+        }
         "cancel" => Ok(Request::Cancel { job: job()? }),
         "health" => Ok(Request::Health),
         "stats" => Ok(Request::Stats),
@@ -373,7 +395,7 @@ mod tests {
         for req in ["status", "result", "cancel"] {
             let ok = parse_request(&format!(r#"{{"req":"{req}","job":7}}"#)).unwrap();
             match ok {
-                Request::Status { job } | Request::Result { job } | Request::Cancel { job } => {
+                Request::Status { job } | Request::Result { job, .. } | Request::Cancel { job } => {
                     assert_eq!(job, 7)
                 }
                 other => panic!("unexpected {other:?}"),
@@ -381,6 +403,23 @@ mod tests {
             let err = parse_request(&format!(r#"{{"req":"{req}","job":"x"}}"#)).unwrap_err();
             assert_eq!(err.code, 400);
         }
+    }
+
+    #[test]
+    fn result_waits_only_when_asked() {
+        assert_eq!(
+            parse_request(r#"{"req":"result","job":7}"#).unwrap(),
+            Request::Result { job: 7, wait: false }
+        );
+        assert_eq!(
+            parse_request(r#"{"req":"result","job":7,"wait":true}"#).unwrap(),
+            Request::Result { job: 7, wait: true }
+        );
+        assert_eq!(
+            parse_request(r#"{"req":"result","job":7,"wait":false}"#).unwrap(),
+            Request::Result { job: 7, wait: false }
+        );
+        assert_eq!(parse_request(r#"{"req":"result","job":7,"wait":1}"#).unwrap_err().code, 400);
     }
 
     #[test]

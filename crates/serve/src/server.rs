@@ -1,7 +1,8 @@
 //! The daemon: listener, admission control, worker pool, graceful drain.
 //!
-//! Structure: one accept loop ([`crate::conn::accept_until`], polling
-//! the drain and external-shutdown flags), detached connection threads
+//! Structure: one accept loop ([`crate::conn::accept_until`], blocked
+//! in `accept` until a connection arrives or the drain or
+//! external-shutdown flag is set), detached connection threads
 //! speaking the [`crate::proto`] line protocol, and a fixed pool of
 //! worker threads draining a bounded job queue. All mutable state lives
 //! under a single mutex (queue + job registry + id counter), so
@@ -53,13 +54,14 @@ use vm_obs::json::Value;
 use vm_obs::{Event, JsonlSink, LogHist, NopSink, Reporter, Sink};
 use vm_supervise::{PoolConfig, WorkerCommand, WorkerPool};
 
-use crate::conn::{self, accept_until, Conn, MAX_REQUEST_BYTES};
+use crate::conn::{accept_until, Conn, MAX_REQUEST_BYTES};
 use crate::ingest::{ConnQuota, Ingest, IngestSettings};
 use crate::job::{JobOutcome, JobSpec, JobState};
-use crate::watch::{self, WatchHub, WATCH_BUFFER};
+use crate::watch::{self, SubNext, WatchHub, WATCH_BUFFER};
 
 use crate::proto::{
     self, ok_response, parse_request, ProtoError, Request, Scale, SubmitRequest, PROTO_VERSION,
+    RESULT_WAIT,
 };
 
 /// Tuning and policy for one daemon instance.
@@ -323,7 +325,7 @@ impl Server {
     ///
     /// Propagates bind, state-directory, and event-file failures.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
-        let listener = conn::bind(&config.addr)?;
+        let listener = TcpListener::bind(&config.addr)?;
         if let Some(dir) = &config.state_dir {
             std::fs::create_dir_all(dir)?;
         }
@@ -1001,7 +1003,12 @@ fn dispatch(
             ingest_of(shared)?.status(upload, name.as_deref())
         }
         Request::Status { job } => handle_status(shared, job),
-        Request::Result { job } => handle_result(shared, job),
+        Request::Result { job, wait } => {
+            if wait {
+                await_job(shared, job);
+            }
+            handle_result(shared, job)
+        }
         Request::Cancel { job } => handle_cancel(shared, job),
         Request::Health => Ok(handle_health(shared)),
         Request::Stats => Ok(handle_stats(shared)),
@@ -1227,6 +1234,28 @@ fn handle_status(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
     ]))
 }
 
+/// Blocks until job `id` is terminal, the hub closes (the daemon
+/// drained) or [`RESULT_WAIT`] passes; `result` then answers whatever
+/// it finds. Subscribes *before* the lookup, as `watch_stream` does, so
+/// a job finishing between the two is caught either by the lookup or by
+/// its `done` frame. An unknown or expired id returns at once.
+fn await_job(shared: &Shared, id: u64) {
+    let sub = shared.hub.subscribe(Some(id), WATCH_BUFFER);
+    let until = Instant::now() + RESULT_WAIT;
+    loop {
+        let settled = shared.lock_state().job(id).map_or(true, |j| j.state.is_terminal());
+        let left = until.saturating_duration_since(Instant::now());
+        if settled || left.is_zero() {
+            break;
+        }
+        match sub.next(left) {
+            SubNext::Frame(_) | SubNext::Idle => {}
+            SubNext::Lagged | SubNext::Closed => break,
+        }
+    }
+    shared.hub.unsubscribe(&sub);
+}
+
 fn handle_result(shared: &Shared, id: u64) -> Result<Value, ProtoError> {
     let st = shared.lock_state();
     let job = st.job(id)?;
@@ -1333,4 +1362,112 @@ fn handle_stats(shared: &Shared) -> Value {
         pairs.insert(0, ("ok".to_owned(), Value::Bool(true)));
     }
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    const SPEC: &str = "[mmu]\nkind = \"software-tlb\"\ntable = \"two-tier\"\n";
+
+    type Serving = std::thread::JoinHandle<io::Result<ServeSummary>>;
+
+    /// A one-worker daemon serving on its own thread, and its state.
+    fn daemon() -> (SocketAddr, Arc<Shared>, Serving) {
+        let server = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+        let (addr, shared) = (server.local_addr().unwrap(), Arc::clone(&server.shared));
+        (addr, shared, std::thread::spawn(move || server.serve()))
+    }
+
+    /// Submits a sweep over `axes` at `measure` instructions a point and
+    /// returns the job id.
+    fn submit(client: &mut Client, axes: &[&str], measure: u64) -> u64 {
+        let resp = client
+            .request(&Value::obj([
+                ("req", "submit".into()),
+                ("spec", SPEC.into()),
+                ("sweep", Value::Arr(axes.iter().map(|&a| a.into()).collect())),
+                ("warmup", 1_000u64.into()),
+                ("measure", measure.into()),
+            ]))
+            .unwrap();
+        resp.get("job").and_then(Value::as_u64).expect("admitted")
+    }
+
+    fn result(job: u64, wait: bool) -> Value {
+        Value::obj([("req", "result".into()), ("job", job.into()), ("wait", wait.into())])
+    }
+
+    fn code(v: &Value) -> u64 {
+        v.get("code").and_then(Value::as_u64).unwrap()
+    }
+
+    #[test]
+    fn a_waiting_result_answers_the_finished_job_in_one_request() {
+        let (addr, _, serving) = daemon();
+        let mut c = Client::connect(addr).unwrap();
+        let job = submit(&mut c, &["tlb.entries=16,32,64,128"], 50_000);
+        assert_eq!(code(&c.request(&result(job, false)).unwrap()), 202, "not finished yet");
+        let waited = c.request(&result(job, true)).unwrap();
+        assert_eq!(code(&waited), 200, "{waited}");
+        assert_eq!(waited.get("state").and_then(Value::as_str), Some("done"));
+        let plain = c.request(&result(job, false)).unwrap();
+        assert_eq!(waited.to_string(), plain.to_string());
+        c.request(&Value::obj([("req", "drain".into())])).unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_waiting_result_for_an_unknown_job_answers_404_at_once() {
+        let (addr, _, serving) = daemon();
+        let mut c = Client::connect(addr).unwrap();
+        let started = Instant::now();
+        assert_eq!(code(&c.request(&result(99, true)).unwrap()), 404);
+        assert!(started.elapsed() < RESULT_WAIT / 5, "took {:?}", started.elapsed());
+        c.request(&Value::obj([("req", "drain".into())])).unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_drain_answers_outstanding_waits_before_the_bound() {
+        let (addr, shared, serving) = daemon();
+        let mut c = Client::connect(addr).unwrap();
+        // One worker: the first job runs for seconds, the second stays
+        // queued behind it.
+        let axes = ["tlb.entries=16,32,64,128", "cache.l1=4K,8K,16K", "mmu.table=two-tier,hashed"];
+        let running = submit(&mut c, &axes, 200_000);
+        let queued = submit(&mut c, &["tlb.entries=16"], 1_000);
+        let waits: Vec<_> = [running, queued]
+            .into_iter()
+            .map(|job| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    let resp = c.request(&result(job, true)).unwrap();
+                    (resp, Instant::now())
+                })
+            })
+            .collect();
+        // Drain only once both waits hold their subscriptions.
+        let until = Instant::now() + RESULT_WAIT;
+        while shared.hub.subscribers() < 2 {
+            assert!(Instant::now() < until, "the waits never subscribed");
+            std::thread::yield_now();
+        }
+        let drained = Instant::now();
+        c.request(&Value::obj([("req", "drain".into())])).unwrap();
+        let answers: Vec<(Value, Instant)> = waits.into_iter().map(|w| w.join().unwrap()).collect();
+        for (resp, at) in &answers {
+            let after = at.saturating_duration_since(drained);
+            assert!(after < RESULT_WAIT / 2, "answered {after:?} after the drain: {resp}");
+        }
+        // The running job was cancelled by the drain: a terminal answer.
+        let (cancelled, _) = &answers[0];
+        assert_eq!(code(cancelled), 200, "{cancelled}");
+        assert_eq!(cancelled.get("state").and_then(Value::as_str), Some("cancelled"));
+        // The queued job stays queued for a resume; the closed hub ends
+        // its wait with today's answer.
+        assert_eq!(code(&answers[1].0), 202, "{}", answers[1].0);
+        serving.join().unwrap().unwrap();
+    }
 }

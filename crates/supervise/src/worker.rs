@@ -22,10 +22,12 @@ pub const HEARTBEAT_PREFIX: &str = "{\"j\":\"hb\"";
 /// How often a computing worker emits heartbeats.
 pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
-/// Runs the worker protocol until stdin EOF: for each request line,
-/// `handle` computes the reply on a separate thread while this thread
+/// Runs the worker protocol until stdin EOF: each request line goes to
+/// one long-lived compute thread running `handle`, while this thread
 /// emits heartbeats every `interval`; the reply is written and flushed
-/// as one line the moment it exists.
+/// as one line the moment it exists. (One thread for the worker's life,
+/// not one per request: threads that overlap each get their own malloc
+/// arena, which shows in the worker's peak RSS.)
 ///
 /// `handle` must return a single line (no `\n`). A panic inside
 /// `handle` is not caught — the worker dies, which is precisely the
@@ -42,21 +44,28 @@ pub fn worker_loop<R: BufRead, W: Write>(
     interval: Duration,
     mut handle: impl FnMut(&str) -> String + Send,
 ) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = std::thread::scope(|scope| -> io::Result<String> {
-            let (tx, rx) = mpsc::channel();
-            let (handle, line) = (&mut handle, &line);
-            let job = scope.spawn(move || {
-                let _ = tx.send(handle(line));
-            });
+    std::thread::scope(|scope| {
+        let (requests, inbox) = mpsc::channel::<String>();
+        let (outbox, replies) = mpsc::channel();
+        let job = scope.spawn(move || {
+            for line in inbox {
+                if outbox.send(handle(&line)).is_err() {
+                    return;
+                }
+            }
+        });
+        for line in input.lines() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            // A send only fails once the job thread is gone, which the
+            // receive below reports.
+            let _ = requests.send(line);
             // Wake on the reply itself; a timeout is a heartbeat due.
-            loop {
-                match rx.recv_timeout(interval) {
-                    Ok(reply) => return Ok(reply),
+            let reply = loop {
+                match replies.recv_timeout(interval) {
+                    Ok(reply) => break reply,
                     Err(RecvTimeoutError::Timeout) => {
                         writeln!(output, "{HEARTBEAT_LINE}")?;
                         output.flush()?;
@@ -66,12 +75,12 @@ pub fn worker_loop<R: BufRead, W: Write>(
                         job.join().expect_err("the job thread only exits unsent by panicking"),
                     ),
                 }
-            }
-        })?;
-        writeln!(output, "{reply}")?;
-        output.flush()?;
-    }
-    Ok(())
+            };
+            writeln!(output, "{reply}")?;
+            output.flush()?;
+        }
+        Ok(())
+    })
 }
 
 /// Test hook: lets chaos tests SIGKILL a worker *mid-point* exactly
@@ -138,6 +147,36 @@ mod tests {
             assert!(hb.starts_with(HEARTBEAT_PREFIX), "{hb}");
             assert_eq!(*hb, HEARTBEAT_LINE);
         }
+    }
+
+    #[test]
+    fn every_request_runs_on_one_compute_thread() {
+        let input = Cursor::new("a\nb\nc\n");
+        let mut out = Vec::new();
+        let mut seen = Vec::new();
+        worker_loop(input, &mut out, Duration::from_secs(10), |_| {
+            seen.push(std::thread::current().id());
+            "ok".to_owned()
+        })
+        .unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "ok\nok\nok\n");
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().all(|&id| id == seen[0]), "requests moved threads: {seen:?}");
+        assert_ne!(seen[0], std::thread::current().id(), "heartbeats need the reader free");
+    }
+
+    #[test]
+    fn a_panicking_request_kills_the_loop() {
+        let input = Cursor::new("fine\nboom\nnever\n");
+        let mut out = Vec::new();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker_loop(input, &mut out, Duration::from_secs(10), |req| {
+                assert_ne!(req, "boom", "injected");
+                req.to_owned()
+            })
+        }));
+        assert!(died.is_err(), "the panic must reach the caller");
+        assert_eq!(String::from_utf8(out).unwrap(), "fine\n");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use vm_experiments::explore::ExploreRun;
@@ -21,7 +21,7 @@ use vm_fleet::{
 };
 use vm_harden::{Journal, JournalWriter, RetryPolicy, SharedBuf};
 use vm_obs::json::Value;
-use vm_obs::{Event, EvictReason, NopSink, RecordingSink, Reporter};
+use vm_obs::{Event, EvictReason, NopSink, RecordingSink, Reporter, Sink, Tee};
 use vm_serve::{Client, ServeConfig, Server};
 
 const ULTRIX: &str = "[mmu]\nkind = \"software-tlb\"\ntable = \"two-tier\"\n";
@@ -73,9 +73,10 @@ fn csv_of(results: Vec<PointResult>, axes: &[Axis]) -> String {
     ExploreRun::from_results(results, Vec::new(), Vec::new(), axes).to_csv()
 }
 
-/// Boots one healthy in-process daemon and returns its address plus the
-/// serve-thread handle.
-fn healthy_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+/// Binds one healthy in-process daemon that does not serve yet: a
+/// client's connect succeeds, and its first request waits for
+/// [`serve`].
+fn bound_server() -> (std::net::SocketAddr, Server) {
     static NEVER: AtomicBool = AtomicBool::new(false);
     let config = ServeConfig {
         workers: 1,
@@ -85,11 +86,42 @@ fn healthy_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         ..ServeConfig::default()
     };
     let server = Server::start(config).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
+    (server.local_addr().unwrap(), server)
+}
+
+/// Serves a bound daemon on its own thread until it drains.
+fn serve(server: Server) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
         let _ = server.serve();
-    });
-    (addr, handle)
+    })
+}
+
+/// Boots one healthy in-process daemon and returns its address plus the
+/// serve-thread handle.
+fn healthy_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let (addr, server) = bound_server();
+    (addr, serve(server))
+}
+
+/// A sink that hands every event to the test thread, so a test acts
+/// when the coordinator reports an event rather than after a guessed
+/// delay.
+struct Signal(mpsc::Sender<Event>);
+
+impl Sink for Signal {
+    fn emit(&mut self, _now: u64, ev: &Event) {
+        let _ = self.0.send(*ev);
+    }
+}
+
+/// Blocks until the coordinator emits an event matching `wanted`.
+fn wait_for(events: &mpsc::Receiver<Event>, wanted: impl Fn(&Event) -> bool) {
+    loop {
+        let ev = events.recv_timeout(Duration::from_secs(60)).expect("the awaited event came");
+        if wanted(&ev) {
+            return;
+        }
+    }
 }
 
 fn drain(addr: std::net::SocketAddr, handle: std::thread::JoinHandle<()>) {
@@ -102,13 +134,7 @@ fn drain(addr: std::net::SocketAddr, handle: std::thread::JoinHandle<()>) {
 /// Deterministic elastic options: no hedging, no probation, no
 /// keepalive — each test turns on exactly the mechanism it probes.
 fn quiet_opts() -> FleetOptions {
-    FleetOptions {
-        hedge_after: None,
-        poll: Duration::from_millis(2),
-        probation: None,
-        keepalive: None,
-        ..FleetOptions::default()
-    }
+    FleetOptions { hedge_after: None, probation: None, keepalive: None, ..FleetOptions::default() }
 }
 
 #[test]
@@ -305,12 +331,14 @@ fn an_evicted_backend_heals_through_probation_and_completes_points() {
     let (reference, reference_journal) = single_node_reference(&fplan, &exec);
 
     // Slot 0's address is reserved but nobody listens yet: the health
-    // gate evicts it immediately. Slot 1 carries the run meanwhile.
+    // gate evicts it immediately. Slot 1's daemon is bound but does not
+    // serve until slot 0 has healed and completed a point, so its driver
+    // waits in the health gate meanwhile.
     let reserved = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap()
     };
-    let (addr_b, handle_b) = healthy_server();
+    let (addr_b, server_b) = bound_server();
     let backends = vec![
         Backend::from_addr(0, reserved.to_string()),
         Backend::from_addr(1, addr_b.to_string()),
@@ -323,7 +351,8 @@ fn an_evicted_backend_heals_through_probation_and_completes_points() {
     };
 
     let mut sink = RecordingSink::new();
-    let (outcome, healed) = std::thread::scope(|scope| {
+    let (tx, events) = mpsc::channel();
+    let (outcome, healed, handle_b) = std::thread::scope(|scope| {
         let run = scope.spawn(|| {
             run_fleet(
                 &fplan,
@@ -331,15 +360,15 @@ fn an_evicted_backend_heals_through_probation_and_completes_points() {
                 backends,
                 &opts,
                 &Reporter::silent(),
-                &mut sink,
+                &mut Tee(&mut sink, Signal(tx)),
                 None,
                 FleetSession::default(),
             )
             .unwrap()
         });
-        // The backend "heals": a daemon comes up on the reserved port
-        // while the run is under way, for the probation probe to find.
-        std::thread::sleep(Duration::from_millis(150));
+        // The backend "heals": once its probation starts, a daemon comes
+        // up on the reserved port for the probation probe to find.
+        wait_for(&events, |e| matches!(e, Event::BackendProbation { backend: 0, .. }));
         static NEVER: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: reserved.to_string(),
@@ -349,11 +378,12 @@ fn an_evicted_backend_heals_through_probation_and_completes_points() {
             shutdown: Some(&NEVER),
             ..ServeConfig::default()
         };
-        let server = Server::start(config).unwrap();
-        let healed_handle = std::thread::spawn(move || {
-            let _ = server.serve();
-        });
-        (run.join().unwrap(), healed_handle)
+        let healed_handle = serve(Server::start(config).unwrap());
+        // Slot 1 joins in only after the rejoined slot's first clean
+        // completion, so the two cannot race for the remaining points.
+        wait_for(&events, |e| matches!(e, Event::BackendRecovered { backend: 0, .. }));
+        let handle_b = serve(server_b);
+        (run.join().unwrap(), healed_handle, handle_b)
     });
     drain(addr_b, handle_b);
     drain(reserved, healed);

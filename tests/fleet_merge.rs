@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use vm_experiments::explore::ExploreRun;
@@ -20,7 +20,7 @@ use vm_fleet::{
     FleetPlan, MergeSet, Offer,
 };
 use vm_harden::{ChaosPlan, JournalWriter, SharedBuf, SimError};
-use vm_obs::{Event, NopSink, RecordingSink, Reporter};
+use vm_obs::{Event, NopSink, RecordingSink, Reporter, Sink, Tee};
 use vm_serve::{Client, ServeConfig, Server};
 
 const ULTRIX: &str = "[mmu]\nkind = \"software-tlb\"\ntable = \"two-tier\"\n";
@@ -189,6 +189,17 @@ fn chaos_failures_and_hedge_duplicates_still_merge_byte_identical() {
     assert_eq!(merged.journal, reference_journal, "chaos + hedging must leave no trace");
 }
 
+/// A sink that hands every event to the test thread, so a test acts
+/// when the coordinator reports an event rather than after a guessed
+/// delay.
+struct Signal(mpsc::Sender<Event>);
+
+impl Sink for Signal {
+    fn emit(&mut self, _now: u64, ev: &Event) {
+        let _ = self.0.send(*ev);
+    }
+}
+
 #[test]
 fn a_real_fleet_evicts_a_poisoned_backend_and_converges_bit_exactly() {
     static NEVER: AtomicBool = AtomicBool::new(false);
@@ -203,7 +214,10 @@ fn a_real_fleet_evicts_a_poisoned_backend_and_converges_bit_exactly() {
     let (reference, reference_journal) = single_node_reference(&fplan, &exec);
 
     // Two healthy daemons plus one whose every job loses its only point
-    // to a chaos panic — a flapping backend the breaker must remove.
+    // to a chaos panic — a flapping backend the breaker must remove. The
+    // healthy two are bound but serve only once the poisoned one is
+    // evicted, so it is sure to get the second dispatch that trips its
+    // breaker; their drivers wait in the health gate meanwhile.
     let mut servers = Vec::new();
     for poisoned in [false, false, true] {
         let config = ServeConfig {
@@ -219,15 +233,16 @@ fn a_real_fleet_evicts_a_poisoned_backend_and_converges_bit_exactly() {
             ..ServeConfig::default()
         };
         let server = Server::start(config).unwrap();
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.serve());
-        servers.push((addr, handle));
+        servers.push((server.local_addr().unwrap(), server));
     }
     let backends: Vec<Backend> = servers
         .iter()
         .enumerate()
         .map(|(id, (addr, _))| Backend::from_addr(id, addr.to_string()))
         .collect();
+    let serve = |server: Server| std::thread::spawn(move || server.serve());
+    let (poisoned_addr, poisoned) = servers.pop().expect("three daemons");
+    let mut handles = vec![(poisoned_addr, serve(poisoned))];
 
     let opts = FleetOptions {
         // Trip fast: the second failure inside the window evicts. No
@@ -235,24 +250,36 @@ fn a_real_fleet_evicts_a_poisoned_backend_and_converges_bit_exactly() {
         // evicted forever" contract.
         evict: EvictPolicy { max_failures: 1, window: Duration::from_secs(60) },
         hedge_after: None,
-        poll: Duration::from_millis(2),
         probation: None,
         ..FleetOptions::default()
     };
     let mut sink = RecordingSink::new();
-    let outcome = run_fleet(
-        &fplan,
-        &exec,
-        backends,
-        &opts,
-        &Reporter::silent(),
-        &mut sink,
-        None,
-        vm_fleet::FleetSession::default(),
-    )
-    .unwrap();
+    let (tx, events) = mpsc::channel();
+    let outcome = std::thread::scope(|scope| {
+        let run = scope.spawn(|| {
+            run_fleet(
+                &fplan,
+                &exec,
+                backends,
+                &opts,
+                &Reporter::silent(),
+                &mut Tee(&mut sink, Signal(tx)),
+                None,
+                vm_fleet::FleetSession::default(),
+            )
+            .unwrap()
+        });
+        loop {
+            let ev = events.recv_timeout(Duration::from_secs(60)).expect("the eviction came");
+            if matches!(ev, Event::BackendEvicted { backend: 2, .. }) {
+                break;
+            }
+        }
+        handles.extend(servers.drain(..).map(|(addr, server)| (addr, serve(server))));
+        run.join().unwrap()
+    });
 
-    for (addr, handle) in servers {
+    for (addr, handle) in handles {
         if let Ok(mut client) = Client::connect(addr) {
             let _ = client.request(&vm_obs::json::Value::obj([("req", "drain".into())]));
         }

@@ -97,7 +97,6 @@ fn a_lying_backend_is_quarantined_and_the_merge_stays_bit_identical() {
         audit_rate: 1.0,
         hedge_after: None,
         evict: EvictPolicy { max_failures: 3, window: Duration::from_secs(60) },
-        poll: Duration::from_millis(2),
         probation: None,
         ..FleetOptions::default()
     };
