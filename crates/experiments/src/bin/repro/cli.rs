@@ -63,7 +63,6 @@ const WORKLOADS: &str = "gcc|vortex|ijpeg|li|compress|perl";
 /// may fail, and where the results go.
 const SWEEP: &[&str] = &[
     "--sweep key=v1,v2,...  sweep a dotted spec key, e.g. tlb.entries=32,64; repeat to cross",
-    "--retries N  retry transient point failures with capped backoff (default 0)",
     "--point-budget CYCLES  walk-cycle budget per point; over-budget points fail as timeouts",
     "--journal FILE  journal every finished point; explore --resume and verify read it",
     "--out DIR  write explore.csv and its -frontier and -sensitivity CSVs here",
@@ -472,11 +471,11 @@ mod tests {
     const SURFACE: &[(&str, &str)] = &[
         ("", "--quick --full --threads= --out= --strict --workload= --events= --chrome-trace= --verbosity= -q --quiet -v --verbose -h --help"),
         ("run", "--system= --workload= --l1= --l1-line= --l2= --l2-line= --tlb-entries= --unified --instrs= --seed= --events= --chrome-trace= --verbosity= -q --quiet -v --verbose -h --help"),
-        ("explore", "--sweep= --retries= --point-budget= --journal= --out= --events= --jobs= --check --resume= --isolation= --quick --full --chaos= --chaos-seed= --verbosity= -q --quiet -v --verbose -h --help"),
+        ("explore", "--sweep= --point-budget= --journal= --out= --events= --jobs= --check --resume= --isolation= --quick --full --chaos= --chaos-seed= --verbosity= -q --quiet -v --verbose -h --help"),
         ("serve", "--addr= --port= --jobs= --workers= --queue= --degrade-depth= --state-dir= --resume --events= --max-request-bytes= --max-trace-bytes= --conn-upload-quota= --staging-watermark= --upload-ttl-secs= --chaos= --chaos-seed= -h --help"),
         ("serve-stats", "-h --help"),
         ("watch", "--addr= --all --json -h --help"),
-        ("fleet", "--spawn= --backend= --fleet-journal= --resume --evict-after= --probation-ms= --audit-rate= --join-addr= --watch-addr= --sweep= --retries= --point-budget= --journal= --out= --events= --quick --full --verbosity= -q --quiet -v --verbose -h --help"),
+        ("fleet", "--spawn= --backend= --fleet-journal= --resume --evict-after= --probation-ms= --audit-rate= --join-addr= --watch-addr= --sweep= --point-budget= --journal= --out= --events= --quick --full --verbosity= -q --quiet -v --verbose -h --help"),
         ("upload", "--addr= --name= --chunk-bytes= -h --help"),
         ("trace-export", "--out= --workload= --seed= --instrs= --dinero= --max-parse-errors= -h --help"),
         ("trace-stats", "--workload= --instrs= --seed= --head= -h --help"),
@@ -555,6 +554,8 @@ mod tests {
             ("serve", "--io-timeout-ms"),
             ("upload", "--max-retries"),
             ("upload", "--chaos"),
+            ("explore", "--retries"),
+            ("fleet", "--retries"),
         ] {
             let title = verb(name).title();
             let e = parse(name, &[flag, "1"]).err();

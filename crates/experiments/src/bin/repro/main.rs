@@ -24,11 +24,11 @@ use vm_core::{SimConfig, SystemKind};
 use vm_experiments::registry::{self, Settings};
 use vm_experiments::{explore, telemetry};
 use vm_experiments::{set_global_verbosity, Reporter, RunScale, Verbosity};
-use vm_explore::{seeded_from_journal, Axis, ExecConfig, HardenPolicy, SystemSpec};
+use vm_explore::{seeded_from_journal, Axis, ExecConfig, HardenPolicy, SweepPlan, SystemSpec};
 use vm_fleet::{
     fleet_plan, run_fleet, Backend, ControlChannel, FleetOptions, FleetSession, WatchProxy,
 };
-use vm_harden::{Journal, JournalWriter, RetryPolicy};
+use vm_harden::{Journal, JournalWriter};
 use vm_obs::json::Value;
 use vm_obs::JsonlSink;
 use vm_serve::{EventReport, ServeConfig, Server, WatchHub};
@@ -247,11 +247,8 @@ fn write_sweep_outputs(
 fn explore_cmd(a: &Args) -> Result<(), String> {
     let (paths, axes) = sweep_inputs(a)?;
     let exec = sweep_exec(a, a.num("--jobs")?.unwrap_or_else(parallelism));
-    let mut harden = HardenPolicy {
-        retry: a.num("--retries")?.map_or(RetryPolicy::NONE, RetryPolicy::new),
-        point_budget: a.num("--point-budget")?,
-        ..HardenPolicy::default()
-    };
+    let mut harden =
+        HardenPolicy { point_budget: a.num("--point-budget")?, ..HardenPolicy::default() };
     let (journal, resume) = (a.path("--journal"), a.path("--resume"));
     let isolated = a.get("--isolation", |v| match v {
         "unwind" => Ok(false),
@@ -287,7 +284,7 @@ fn explore_cmd(a: &Args) -> Result<(), String> {
         // Axes still get a dry validation so `--check --sweep ...`
         // catches bad keys without simulating.
         if !axes.is_empty() {
-            let plan = explore::plan(&bases, &axes)?;
+            let (plan, _) = SweepPlan::expand_all(&bases, &axes)?;
             println!(
                 "sweep: {} runnable point(s), {} skipped",
                 plan.points.len(),
@@ -807,7 +804,6 @@ fn fleet_cmd(a: &Args) -> Result<(), String> {
     let off_if_zero = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
     opts.probation = a.num("--probation-ms")?.map_or(opts.probation, off_if_zero);
     opts.evict.max_failures = a.num("--evict-after")?.unwrap_or(opts.evict.max_failures);
-    opts.retries = a.num("--retries")?.unwrap_or(opts.retries);
     opts.point_budget = a.num("--point-budget")?;
     let rate = |v: &str| match v.parse::<f64>() {
         Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),

@@ -28,7 +28,7 @@ pub struct Config {
     pub axes: Vec<Axis>,
     /// Run lengths and worker count.
     pub exec: ExecConfig,
-    /// Fault handling: retries, walk-cycle budget, chaos injection.
+    /// Fault handling: walk-cycle budget, chaos injection.
     pub harden: HardenPolicy,
     /// Start a fresh run journal at this path.
     pub journal: Option<PathBuf>,
@@ -57,38 +57,6 @@ pub struct ExploreRun {
     pub events_jsonl: Option<Vec<u8>>,
 }
 
-/// Expands every base over the axes into one merged plan with globally
-/// unique point indices (so multi-spec runs merge deterministically).
-///
-/// # Errors
-///
-/// Returns a message if an axis key never applies to any base.
-pub fn plan(bases: &[SystemSpec], axes: &[Axis]) -> Result<SweepPlan, String> {
-    let mut merged = SweepPlan::default();
-    let mut last_err = None;
-    for base in bases {
-        match SweepPlan::expand(base, axes) {
-            Ok(mut plan) => {
-                for mut point in plan.points.drain(..) {
-                    point.index = merged.points.len();
-                    merged.points.push(point);
-                }
-                merged.skipped.append(&mut plan.skipped);
-            }
-            // A key may be meaningless for one base (e.g. `tlb.entries`
-            // on BASE) yet sweep the others; only fail if no base at all
-            // accepts it.
-            Err(e) => last_err = Some(e),
-        }
-    }
-    if merged.points.is_empty() && merged.skipped.is_empty() {
-        if let Some(e) = last_err {
-            return Err(e);
-        }
-    }
-    Ok(merged)
-}
-
 /// Runs the exploration: expand, (maybe) resume, execute with fault
 /// isolation, journal, analyse.
 ///
@@ -99,7 +67,7 @@ pub fn plan(bases: &[SystemSpec], axes: &[Axis]) -> Result<SweepPlan, String> {
 /// this sweep. Point *failures* are not errors — they come back in
 /// [`ExploreRun::failures`].
 pub fn run(cfg: &Config, capture_events: bool, reporter: &Reporter) -> Result<ExploreRun, String> {
-    let plan = plan(&cfg.bases, &cfg.axes)?;
+    let (plan, _) = SweepPlan::expand_all(&cfg.bases, &cfg.axes)?;
     if plan.points.is_empty() {
         let mut msg = "no runnable points in the sweep".to_owned();
         if let Some(s) = plan.skipped.first() {
@@ -309,30 +277,6 @@ mod tests {
 
     fn quick_exec(jobs: usize) -> ExecConfig {
         ExecConfig { warmup: 1_000, measure: 5_000, jobs }
-    }
-
-    #[test]
-    fn multi_base_plans_reindex_points() {
-        let bases =
-            [SystemSpec::for_kind(SystemKind::Ultrix), SystemSpec::for_kind(SystemKind::Intel)];
-        let axes = [Axis::parse("tlb.entries=32,64").unwrap()];
-        let plan = plan(&bases, &axes).unwrap();
-        assert_eq!(plan.points.len(), 4);
-        assert!(plan.points.iter().enumerate().all(|(i, p)| p.index == i));
-        assert!(plan.points[0].label.starts_with("ULTRIX"));
-        assert!(plan.points[2].label.starts_with("INTEL"));
-    }
-
-    #[test]
-    fn tlb_axis_on_base_system_skips_but_does_not_fail() {
-        // `tlb.entries` applies to ULTRIX but is nonsense for BASE; the
-        // merged plan keeps the valid half and records the rest.
-        let bases =
-            [SystemSpec::for_kind(SystemKind::Ultrix), SystemSpec::for_kind(SystemKind::Base)];
-        let axes = [Axis::parse("tlb.entries=32,64").unwrap()];
-        let plan = plan(&bases, &axes).unwrap();
-        assert_eq!(plan.points.len(), 2);
-        assert_eq!(plan.skipped.len(), 2);
     }
 
     #[test]

@@ -10,25 +10,25 @@
 //! Points that replay the same stream (a synthetic workload at one seed,
 //! or a library trace) share its source through one [`StreamTable`].
 //!
-//! [`run_sweep_hardened`] is the full executor: each point runs inside
-//! `catch_unwind` so one panicking point becomes a
-//! [`PointOutcome::Failed`] data point instead of a dead run, transient
-//! I/O failures are retried under a [`RetryPolicy`], a walk-cycle
-//! [`HardenPolicy::point_budget`] degrades runaway points to
+//! [`run_sweep_hardened`] is the full executor: each point runs once,
+//! inside `catch_unwind`, so one panicking point becomes a
+//! [`PointOutcome::Failed`] data point instead of a dead run, a
+//! walk-cycle [`HardenPolicy::point_budget`] degrades runaway points to
 //! [`PointOutcome::TimedOut`], finished points stream into an optional
 //! run journal for crash-safe resume, and a [`ChaosPlan`] can inject
-//! faults to prove all of it works. [`run_sweep`] is the strict facade:
-//! same machinery, but any failure is a panic (for callers that treat
-//! the plan as pre-validated).
+//! faults to prove all of it works. A point the plan does not target
+//! replays its stream through [`CheckedTrace`] alone; a targeted point
+//! gets its fault from one function, `inject`. [`run_sweep`] is the
+//! strict facade: same machinery, but any failure is a panic (for
+//! callers that treat the plan as pre-validated).
 //!
 //! Progress goes through the `vm-obs` [`Reporter`] (a heartbeat line
 //! roughly every two seconds, per-point completions at Verbose), and the
 //! sweep's lifecycle is emitted into any [`Sink`]: an optional
 //! [`Event::RunResumed`], [`Event::SweepStarted`], then — in point
 //! order, after the order-independent merge, so event streams are
-//! deterministic at any worker count — [`Event::PointRetried`] per
-//! retry and one [`Event::SweepPointDone`] or [`Event::PointFailed`]
-//! per point.
+//! deterministic at any worker count — one [`Event::SweepPointDone`]
+//! or [`Event::PointFailed`] per point.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,8 +39,8 @@ use std::time::Instant;
 use vm_core::cost::CostModel;
 use vm_core::{simulate, simulate_with_sink, SimConfig, SimReport};
 use vm_harden::{
-    quiet_panics, with_retry_salted, ChaosPlan, CheckedTrace, DeadlineSink, DynJournalWriter,
-    FailureKind, Fault, JournalEntry, PointOutcome, RetryPolicy, SimError,
+    quiet_panics, ChaosPlan, CheckedTrace, DeadlineSink, DynJournalWriter, FailureKind, Fault,
+    JournalEntry, PointOutcome, SimError,
 };
 use vm_obs::{Event, Reporter, Sink, SnapshotSink, Tee, HEARTBEAT_PERIOD};
 use vm_supervise::WorkerPool;
@@ -112,8 +112,6 @@ impl Default for ExecConfig {
 /// Fault-handling knobs for a hardened sweep.
 #[derive(Debug, Clone, Default)]
 pub struct HardenPolicy {
-    /// Retry policy for transient (I/O) point failures.
-    pub retry: RetryPolicy,
     /// Walk-cycle budget per point; exceeding it degrades the point to
     /// [`PointOutcome::TimedOut`]. `None` = unlimited.
     pub point_budget: Option<u64>,
@@ -127,7 +125,7 @@ pub struct HardenPolicy {
     /// Process-level isolation: when set, every point executes inside a
     /// sandboxed worker process leased from this supervised pool instead
     /// of in-process under `catch_unwind`. The worker runs the *same*
-    /// measurement path (chaos, retries, budgets included) and replies
+    /// measurement path (chaos and budgets included) and replies
     /// with the bit-exact journal codec, so merged results are identical
     /// to in-process runs at any `--jobs` count — but a point that
     /// aborts, segfaults, or is OOM-killed costs one worker, not the
@@ -136,8 +134,8 @@ pub struct HardenPolicy {
     /// Live progress reporting: when set, in-process points run with a
     /// [`SnapshotSink`] attached and fire
     /// [`SweepObserver::checkpoint`](crate::progress::SweepObserver::checkpoint)
-    /// every `interval` retired instructions; every point (including
-    /// process-isolated ones, which checkpoint only at point
+    /// every `interval` retired instructions; every point that runs
+    /// (including process-isolated ones, which checkpoint only at point
     /// granularity) fires `point_finished`, and supervised-pool
     /// lifecycle events are drained to `pool_event` as points complete
     /// instead of only at sweep teardown. Observers are observers:
@@ -208,8 +206,8 @@ pub type SweepPointOutcome = PointOutcome<PointResult>;
 pub struct SweepOutcome {
     /// One outcome per point, in point order.
     pub outcomes: Vec<SweepPointOutcome>,
-    /// Attempts consumed per point (1 = first try; journaled points
-    /// keep 1).
+    /// Attempts consumed per point: 1, or a crash-looping worker
+    /// point's restarts plus one (journaled points keep 1).
     pub attempts: Vec<u32>,
     /// Points restored from a resume journal rather than simulated.
     pub resumed: usize,
@@ -264,8 +262,8 @@ pub fn tlb_area_bytes(config: &SimConfig) -> u64 {
 
 /// Runs every point of `plan`, returning results in point order.
 ///
-/// The strict facade over [`run_sweep_hardened`]: no retries, no budget,
-/// no chaos, no journal — and any point failure panics.
+/// The strict facade over [`run_sweep_hardened`]: no budget, no chaos,
+/// no journal — and any point failure panics.
 ///
 /// `sink` receives the sweep lifecycle events ([`Event::SweepStarted`]
 /// up front, one [`Event::SweepPointDone`] per point, emitted after the
@@ -309,11 +307,9 @@ pub fn run_sweep<S: Sink>(
 ///   resume journal) are not re-simulated; they are merged back in
 ///   place, bit-identical to an uninterrupted run, and counted in
 ///   [`SweepOutcome::resumed`].
-/// * Each simulated point runs under `catch_unwind` with the panic hook
-///   quieted: a panic, corrupt trace record, or blown walk-cycle budget
-///   becomes that point's [`PointOutcome`], never the run's death.
-/// * Transient ([`FailureKind::Io`]) failures retry under
-///   `policy.retry` with capped exponential backoff.
+/// * Each simulated point runs once, under `catch_unwind` with the panic
+///   hook quieted: a panic, corrupt trace record, or blown walk-cycle
+///   budget becomes that point's [`PointOutcome`], never the run's death.
 /// * Every finished point (completed or failed) is appended to
 ///   `journal` when one is given, so a killed run can resume.
 pub fn run_sweep_hardened<S: Sink>(
@@ -364,9 +360,6 @@ pub fn run_sweep_hardened<S: Sink>(
     if S::ENABLED {
         let mut now = 0;
         for (ix, outcome) in outcomes.iter().enumerate() {
-            for retry in 2..=attempts[ix] {
-                sink.emit(now, &Event::PointRetried { index: ix as u64, attempt: retry });
-            }
             match outcome {
                 PointOutcome::Completed(r) => {
                     now += r.user_instrs;
@@ -539,9 +532,6 @@ fn run_pending(
         let point = &points[ix];
         if policy.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
             release(point);
-            if let Some(progress) = &policy.progress {
-                progress.observer.point_finished(ix, false);
-            }
             return None;
         }
         let (outcome, tries) = measure_point_isolated(point, exec, policy, streams);
@@ -574,8 +564,8 @@ fn run_pending(
         Some(((outcome, tries), point.label.as_str(), status))
     });
     // Only the cancel flag declines a point. Such points drain without
-    // simulating or journaling: the missing journal entry is what makes a
-    // resume re-run them.
+    // simulating, journaling or reaching the observer: the missing
+    // journal entry is what makes a resume re-run them.
     ran.into_iter()
         .zip(pending)
         .map(|(ran, &ix)| {
@@ -605,10 +595,11 @@ pub(crate) fn point_error(
 /// Measures one point with full isolation. With
 /// [`HardenPolicy::process`] set the point crosses into a supervised
 /// worker process (which runs this same function, sans pool); otherwise
-/// it runs in-process: chaos injection, retries for transient failures,
-/// `catch_unwind` classification of panics and sentinels, taking the
-/// point's stream from `streams`. Returns the outcome and the attempts
-/// consumed.
+/// it runs once in-process, taking its stream from `streams`. A point
+/// the chaos plan does not target goes straight from its stream into
+/// the simulator; a targeted one takes its fault from [`inject`]. Either
+/// result row is sealed here. Returns the outcome and the attempts
+/// consumed: 1, unless a crash-looping worker used more.
 pub(crate) fn measure_point_isolated(
     point: &PlannedPoint,
     exec: &ExecConfig,
@@ -618,23 +609,52 @@ pub(crate) fn measure_point_isolated(
     if let Some(pool) = &policy.process {
         return crate::process::measure_point_process(pool, point, exec, policy);
     }
-    let (result, attempts) = with_retry_salted(&policy.retry, point.index as u64, |attempt| {
-        if policy.chaos.fault_for(point.index) == Some(Fault::Io) {
-            let failures = policy.chaos.io_failures(point.index);
-            if attempt <= failures {
-                return Err(point_error(
-                    point,
-                    FailureKind::Io,
-                    format!("chaos: injected I/O failure ({attempt} of {failures})"),
-                ));
-            }
+    let measured = match policy.chaos.fault_for(point.index) {
+        None => point_trace(point, exec, streams)
+            .and_then(|trace| simulate_point(point, exec, policy, trace)),
+        Some(fault) => inject(fault, point, exec, policy, streams),
+    };
+    let outcome = match measured {
+        Ok(mut result) => {
+            crate::attest::seal(&mut result, crate::attest::context_for(point, exec));
+            PointOutcome::Completed(result)
         }
-        try_measure_point(point, exec, policy, streams)
-    });
-    match result {
-        Ok(r) => (PointOutcome::Completed(r), attempts),
-        Err(e) if e.kind == FailureKind::Timeout => (PointOutcome::TimedOut(e), attempts),
-        Err(e) => (PointOutcome::Failed(e), attempts),
+        Err(e) if e.kind == FailureKind::Timeout => PointOutcome::TimedOut(e),
+        Err(e) => PointOutcome::Failed(e),
+    };
+    (outcome, 1)
+}
+
+/// Measures a point the chaos plan targets with `fault`, the one place
+/// an injected fault acts: [`Fault::Io`] fails the point before its
+/// stream is taken, [`Fault::Lie`] perturbs the finished row before it
+/// is sealed, and every other fault wraps the point's stream.
+fn inject(
+    fault: Fault,
+    point: &PlannedPoint,
+    exec: &ExecConfig,
+    policy: &HardenPolicy,
+    streams: &StreamTable,
+) -> Result<PointResult, SimError> {
+    match fault {
+        Fault::Io => Err(point_error(point, FailureKind::Io, "chaos: injected I/O failure")),
+        Fault::Lie => {
+            // The Byzantine chaos fault: an honest simulation, then one
+            // ulp of corruption — applied BEFORE signing, so the lie
+            // leaves here with a perfectly valid attestation. Only
+            // divergence detection or an audit against another backend
+            // can catch it.
+            let trace = point_trace(point, exec, streams)?;
+            let mut result = simulate_point(point, exec, policy, trace)?;
+            result.vmcpi = f64::from_bits(result.vmcpi.to_bits() ^ 1);
+            result.vm_total = result.vmcpi + result.interrupt_cpi;
+            Ok(result)
+        }
+        _ => {
+            let trace = point_trace(point, exec, streams)?;
+            let horizon = exec.warmup + exec.measure;
+            simulate_point(point, exec, policy, policy.chaos.wrap(point.index, horizon, trace))
+        }
     }
 }
 
@@ -685,17 +705,16 @@ fn point_trace(
     Ok(stream)
 }
 
-/// One attempt at simulating a point, every failure mode mapped to a
-/// structured [`SimError`].
-fn try_measure_point(
+/// Simulates `point` over `trace`, validated record by record through
+/// [`CheckedTrace`], and derives its unsealed result row. Every failure
+/// mode maps to a structured [`SimError`].
+fn simulate_point<I: Iterator<Item = vm_trace::InstrRecord>>(
     point: &PlannedPoint,
     exec: &ExecConfig,
     policy: &HardenPolicy,
-    streams: &StreamTable,
+    trace: I,
 ) -> Result<PointResult, SimError> {
-    let trace = point_trace(point, exec, streams)?;
-    let horizon = exec.warmup + exec.measure;
-    let checked = CheckedTrace::new(policy.chaos.wrap(point.index, horizon, trace));
+    let checked = CheckedTrace::new(trace);
     let run = catch_unwind(AssertUnwindSafe(|| {
         match (policy.point_budget, &policy.progress) {
             (None, None) => simulate(&point.config, checked, exec.warmup, exec.measure),
@@ -704,6 +723,7 @@ fn try_measure_point(
                 // deadline and/or snapshot sink leaves the measured results
                 // bit-identical.
                 let cost = CostModel::paper(point.spec.interrupt_cycles);
+                let horizon = exec.warmup + exec.measure;
                 let snap = progress.as_ref().map(|progress| {
                     SnapshotSink::new(progress.interval, |cp| {
                         let cp = PointCheckpoint::from_snapshot(point, cp, horizon, &cost);
@@ -717,25 +737,14 @@ fn try_measure_point(
         }
         .map_err(|e| point_error(point, FailureKind::Build, e.to_string()))
     }));
-    let report = match run {
-        Ok(simulated) => simulated?,
+    match run {
+        Ok(simulated) => Ok(result_row(point, simulated?)),
         Err(payload) => {
             let mut e = SimError::from_panic(point.label.clone(), payload);
             e.settings = point.settings.clone();
-            return Err(e);
+            Err(e)
         }
-    };
-    let mut result = result_row(point, report);
-    if policy.chaos.fault_for(point.index) == Some(Fault::Lie) {
-        // The Byzantine chaos fault: an honest simulation, then one ulp
-        // of corruption — applied BEFORE signing, so the lie leaves here
-        // with a perfectly valid attestation. Only divergence detection
-        // or an audit against another backend can catch it.
-        result.vmcpi = f64::from_bits(result.vmcpi.to_bits() ^ 1);
-        result.vm_total = result.vmcpi + result.interrupt_cpi;
     }
-    crate::attest::seal(&mut result, crate::attest::context_for(point, exec));
-    Ok(result)
 }
 
 /// Derives a result row from a point's finished simulation.
@@ -758,7 +767,8 @@ fn result_row(point: &PlannedPoint, report: SimReport) -> PointResult {
         tlb_area_bytes: tlb_area_bytes(&point.config),
         tlb_miss_ratio,
         user_instrs: report.counts.user_instrs,
-        // Unsigned until the caller seals it (after any lie chaos).
+        // Unsigned until `measure_point_isolated` seals it (after any
+        // lie chaos).
         ctx: 0,
         att: 0,
     }
@@ -1069,42 +1079,22 @@ mod tests {
     }
 
     #[test]
-    fn io_faults_recover_with_retries_and_fail_without() {
+    fn io_faults_fail_their_point_on_the_first_attempt() {
         let plan = tiny_plan();
-        let chaos = ChaosPlan::parse("io@3", 5).unwrap();
-        let with_retries = HardenPolicy {
-            retry: RetryPolicy {
-                retries: 2,
-                backoff_base_ms: 0,
-                backoff_cap_ms: 0,
-                jitter_seed: None,
-            },
-            chaos: chaos.clone(),
-            ..HardenPolicy::default()
-        };
+        let policy =
+            HardenPolicy { chaos: ChaosPlan::parse("io@3", 5).unwrap(), ..HardenPolicy::default() };
         let out = run_sweep_hardened(
             &plan,
             &tiny_exec(1),
-            &with_retries,
+            &policy,
             BTreeMap::new(),
             &Reporter::silent(),
             &mut NopSink,
             None,
         );
-        assert!(out.is_clean());
-        assert_eq!(out.attempts[3], chaos.io_failures(3) + 1);
-
-        let no_retries = HardenPolicy { chaos, ..HardenPolicy::default() };
-        let out = run_sweep_hardened(
-            &plan,
-            &tiny_exec(1),
-            &no_retries,
-            BTreeMap::new(),
-            &Reporter::silent(),
-            &mut NopSink,
-            None,
-        );
-        assert_eq!(out.outcomes[3].error().unwrap().kind, FailureKind::Io);
+        assert_eq!(out.failed_count(), 1);
+        let e = out.outcomes[3].error().unwrap();
+        assert_eq!((e.kind, e.attempts, out.attempts[3]), (FailureKind::Io, 1, 1));
     }
 
     #[test]

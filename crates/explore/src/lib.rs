@@ -19,9 +19,9 @@
 //!   reporting progress through the `vm-obs`
 //!   [`vm_obs::Reporter`] and emitting `SweepStarted`/`SweepPointDone`
 //!   events. The hardened variant isolates per-point faults into
-//!   [`SweepPointOutcome`]s, retries transient failures, enforces
-//!   walk-cycle budgets, streams finished points into a `vm-harden`
-//!   run journal, and resumes from one ([`seeded_from_journal`]).
+//!   [`SweepPointOutcome`]s, enforces walk-cycle budgets, streams
+//!   finished points into a `vm-harden` run journal, and resumes from
+//!   one ([`seeded_from_journal`]).
 //! * [`pareto_frontier`] / [`sensitivity`] — which configurations are
 //!   worth building, and which knobs matter.
 //!

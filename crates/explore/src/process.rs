@@ -4,7 +4,7 @@
 //! boundary: the executor serializes the point as one request line,
 //! a sandboxed `repro worker` (see [`serve_worker`]) deserializes it,
 //! runs the *same* measurement path the in-process executor would —
-//! chaos injection, salted retries, walk-cycle budgets — and replies
+//! chaos injection and walk-cycle budgets included — and replies
 //! with the journal entry the executor would have written. Because the
 //! reply reuses the journal's bit-exact `f64::to_bits` codec
 //! ([`result_to_value`]/[`result_from_value`]) and the spec crosses as
@@ -23,14 +23,16 @@
 //!
 //! * request — `{"j":"run","index":…,"label":…,"settings":[[k,v]…],
 //!   "spec":"<canonical TOML>","warmup":…,"measure":…,"budget":…,
-//!   "retries":…,"backoff_base_ms":…,"backoff_cap_ms":…,"jitter":…,
-//!   "chaos":"panic@2,abort@5","chaos_seed":…}`. Seeds are 16-hex-digit
-//!   strings (arbitrary `u64`s do not survive a JSON `f64` number).
+//!   "chaos":"panic@2,abort@5","chaos_seed":…,"library":…}`. The chaos
+//!   plan crosses because in-stream faults must fire inside the worker.
+//!   The seed is a 16-hex-digit string (an arbitrary `u64` does not
+//!   survive a JSON `f64` number). Fields a worker does not read, such
+//!   as the retry fields older coordinators sent, are ignored.
 //! * reply — the `{"j":"point",…}` journal line
 //!   ([`JournalEntry::to_line`]), or `{"j":"err","detail":…}` when the
 //!   request itself is malformed (mapped to [`FailureKind::Build`]).
 
-use vm_harden::{ChaosPlan, FailureKind, JournalEntry, PointOutcome, RetryPolicy};
+use vm_harden::{ChaosPlan, FailureKind, JournalEntry, PointOutcome};
 use vm_obs::json::{self, Value};
 use vm_supervise::DEFAULT_HEARTBEAT_INTERVAL;
 use vm_supervise::{maybe_kill_for_test, worker_loop, PoolError, WorkerPool};
@@ -43,8 +45,8 @@ use crate::spec::SystemSpec;
 use crate::stream::StreamTable;
 use crate::sweep::PlannedPoint;
 
-/// Encodes an arbitrary `u64` (seeds) as a 16-hex-digit string; a JSON
-/// number is an `f64` and would drop bits past 2^53.
+/// Encodes an arbitrary `u64` (the chaos seed) as a 16-hex-digit
+/// string; a JSON number is an `f64` and would drop bits past 2^53.
 fn u64_hex(v: u64) -> Value {
     Value::Str(hex64(v))
 }
@@ -72,10 +74,6 @@ pub fn request_line(point: &PlannedPoint, exec: &ExecConfig, policy: &HardenPoli
         ("warmup", exec.warmup.into()),
         ("measure", exec.measure.into()),
         ("budget", policy.point_budget.map_or(Value::Null, Value::from)),
-        ("retries", policy.retry.retries.into()),
-        ("backoff_base_ms", policy.retry.backoff_base_ms.into()),
-        ("backoff_cap_ms", policy.retry.backoff_cap_ms.into()),
-        ("jitter", policy.retry.jitter_seed.map_or(Value::Null, u64_hex)),
         ("chaos", policy.chaos.render().into()),
         ("chaos_seed", u64_hex(policy.chaos.seed)),
         (
@@ -129,10 +127,6 @@ fn parse_request(line: &str) -> Result<WireRequest, String> {
         Value::Null => None,
         other => Some(other.as_u64().ok_or("request `budget` not an integer")?),
     };
-    let jitter_seed = match v.get("jitter").ok_or("request missing `jitter`")? {
-        Value::Null => None,
-        other => Some(u64_from_hex(other).ok_or("request `jitter` not a u64 hex string")?),
-    };
     let chaos_seed = u64_from_hex(v.get("chaos_seed").ok_or("request missing `chaos_seed`")?)
         .ok_or("request `chaos_seed` not a u64 hex string")?;
     let chaos_text = text("chaos")?;
@@ -151,12 +145,6 @@ fn parse_request(line: &str) -> Result<WireRequest, String> {
         },
         exec: ExecConfig { warmup: int("warmup")?, measure: int("measure")?, jobs: 1 },
         policy: HardenPolicy {
-            retry: RetryPolicy {
-                retries: int("retries")? as u32,
-                backoff_base_ms: int("backoff_base_ms")?,
-                backoff_cap_ms: int("backoff_cap_ms")?,
-                jitter_seed,
-            },
             point_budget: budget,
             chaos,
             cancel: None,
@@ -215,9 +203,9 @@ pub fn serve_worker() -> std::io::Result<()> {
 /// Measures one point across the process boundary: one request line to
 /// a leased worker, one journal-entry line back, crashes supervised in
 /// between. Failure mapping: a tripped crash-loop breaker is
-/// [`FailureKind::Crash`] (restarts + 1 attempts), a wall-clock ceiling
-/// is a timeout, and an unintelligible reply is [`FailureKind::Build`]
-/// (a protocol bug, not a simulation result).
+/// [`FailureKind::Crash`] (restarts + 1 attempts), and an unintelligible
+/// reply is [`FailureKind::Build`] (a protocol bug, not a simulation
+/// result).
 pub(crate) fn measure_point_process(
     pool: &WorkerPool,
     point: &PlannedPoint,
@@ -235,14 +223,6 @@ pub(crate) fn measure_point_process(
             );
             e.attempts = restarts + 1;
             (PointOutcome::Failed(e), restarts + 1)
-        }
-        Err(PoolError::WallLimit { limit, detail }) => {
-            let e = point_error(
-                point,
-                FailureKind::Timeout,
-                format!("exceeded the {}ms wall-clock ceiling: {detail}", limit.as_millis()),
-            );
-            (PointOutcome::TimedOut(e), 1)
         }
     }
 }
@@ -334,7 +314,6 @@ mod tests {
     fn requests_round_trip_points_and_policy() {
         let plan = tiny_plan();
         let policy = HardenPolicy {
-            retry: RetryPolicy::new(2),
             point_budget: Some(1_000_000),
             chaos: ChaosPlan::parse("io@1,abort@3", u64::MAX - 5).unwrap(),
             ..HardenPolicy::default()
@@ -347,7 +326,6 @@ mod tests {
         assert_eq!(back.point.spec, plan.points[1].spec);
         assert_eq!(back.exec.warmup, 2_000);
         assert_eq!(back.exec.measure, 10_000);
-        assert_eq!(back.policy.retry, policy.retry);
         assert_eq!(back.policy.point_budget, Some(1_000_000));
         assert_eq!(back.policy.chaos, policy.chaos);
         assert!(back.policy.process.is_none());
@@ -381,6 +359,23 @@ mod tests {
         assert_eq!(e.kind, FailureKind::Panic);
         assert!(e.detail.contains("injected panic"), "{e}");
         assert_eq!(e.settings, plan.points[0].settings);
+    }
+
+    #[test]
+    fn the_wire_carries_no_retry_field_and_an_io_point_fails_on_its_one_attempt() {
+        let plan = tiny_plan();
+        let policy = HardenPolicy {
+            chaos: ChaosPlan::parse("io@1", 42).unwrap(),
+            ..HardenPolicy::default()
+        };
+        let line = request_line(&plan.points[1], &tiny_exec(), &policy);
+        let request = json::parse(&line).unwrap();
+        for field in ["retries", "backoff_base_ms", "backoff_cap_ms", "jitter"] {
+            assert!(request.get(field).is_none(), "`{field}` in {line}");
+        }
+        let reply = JournalEntry::parse_line(&handle_request(&line)).unwrap();
+        assert_eq!(reply.status, "failed");
+        assert_eq!((reply.kind, reply.attempts), (Some(FailureKind::Io), 1));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   [`vm_obs::SnapshotSink`] under the hood), so attaching an observer
 //!   cannot perturb results: the merged CSV and journal stay
 //!   byte-identical with or without one.
-//! * [`SweepObserver::point_finished`] — once per point, in completion
-//!   order (which varies with worker scheduling; consumers wanting
-//!   deterministic order should use the journal or the final outcome).
+//! * [`SweepObserver::point_finished`] — once per point that ran, in
+//!   completion order (which varies with worker scheduling; consumers
+//!   wanting deterministic order should use the journal or the final
+//!   outcome).
 //! * [`SweepObserver::pool_event`] — supervised-pool lifecycle events
 //!   (`worker_*`, `breaker_tripped`) drained live as points finish,
 //!   instead of only at sweep teardown.
@@ -40,9 +41,10 @@ pub trait SweepObserver: Send + Sync {
     /// A periodic checkpoint from inside a simulating point.
     fn checkpoint(&self, _cp: &PointCheckpoint) {}
 
-    /// A point finished (successfully or as a classified failure).
-    /// Called in completion order, including for points skipped by
-    /// cancellation (reported as `ok = false`).
+    /// A point ran and finished (successfully, or as a classified
+    /// failure or timeout), after its journal line, if any, was written.
+    /// Called in completion order; a point the cancel flag declined
+    /// never ran and is not reported.
     fn point_finished(&self, _index: usize, _ok: bool) {}
 
     /// A supervised worker-pool lifecycle event (`worker_spawned`,

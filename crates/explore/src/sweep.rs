@@ -2,7 +2,8 @@
 //!
 //! An [`Axis`] is one swept spec key with its candidate values
 //! (`tlb.entries=32,64,128`); [`SweepPlan::expand`] crosses every axis over a base
-//! [`SystemSpec`] into a [`SweepPlan`] of validated points. Combinations
+//! [`SystemSpec`] into a [`SweepPlan`] of validated points, and
+//! [`SweepPlan::expand_all`] merges the grids of several bases. Combinations
 //! the simulator has no model for (e.g. a hardware walker over a
 //! three-tiered table, mid-sweep) are not silently dropped: they land in
 //! [`SweepPlan::skipped`] with the validator's reason, so reports can say
@@ -143,6 +144,44 @@ impl SweepPlan {
             }
         }
     }
+
+    /// Expands `axes` over every base in turn and merges the grids into
+    /// one plan with globally unique point indices, so multi-spec runs
+    /// merge deterministically. Also returns, per point, the index of
+    /// the base it came from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if an axis key applies to no base at all. A key
+    /// meaningless for one base (`tlb.entries` on BASE) but valid for
+    /// another only skips that base.
+    pub fn expand_all(
+        bases: &[SystemSpec],
+        axes: &[Axis],
+    ) -> Result<(SweepPlan, Vec<usize>), String> {
+        let mut merged = SweepPlan::default();
+        let mut origin = Vec::new();
+        let mut last_err = None;
+        for (b, base) in bases.iter().enumerate() {
+            match SweepPlan::expand(base, axes) {
+                Ok(mut plan) => {
+                    for mut point in plan.points.drain(..) {
+                        point.index = merged.points.len();
+                        merged.points.push(point);
+                        origin.push(b);
+                    }
+                    merged.skipped.append(&mut plan.skipped);
+                }
+                Err(e) => last_err = Some(e),
+            }
+        }
+        if merged.points.is_empty() && merged.skipped.is_empty() {
+            if let Some(e) = last_err {
+                return Err(e);
+            }
+        }
+        Ok((merged, origin))
+    }
 }
 
 /// `NAME tlb.entries=64 mmu.table=hashed` — the point's identity in
@@ -204,6 +243,31 @@ mod tests {
         assert_eq!(plan.points.len(), 2);
         assert_eq!(plan.skipped.len(), 1);
         assert!(plan.skipped[0].reason.contains("three-tier"), "{}", plan.skipped[0].reason);
+    }
+
+    #[test]
+    fn multi_base_plans_reindex_points() {
+        let bases =
+            [SystemSpec::for_kind(SystemKind::Ultrix), SystemSpec::for_kind(SystemKind::Intel)];
+        let axes = [Axis::parse("tlb.entries=32,64").unwrap()];
+        let (plan, origin) = SweepPlan::expand_all(&bases, &axes).unwrap();
+        assert_eq!(plan.points.len(), 4);
+        assert!(plan.points.iter().enumerate().all(|(i, p)| p.index == i));
+        assert!(plan.points[0].label.starts_with("ULTRIX"));
+        assert!(plan.points[2].label.starts_with("INTEL"));
+        assert_eq!(origin, [0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn tlb_axis_on_base_system_skips_but_does_not_fail() {
+        // `tlb.entries` applies to ULTRIX but is nonsense for BASE; the
+        // merged plan keeps the valid half and records the rest.
+        let bases =
+            [SystemSpec::for_kind(SystemKind::Ultrix), SystemSpec::for_kind(SystemKind::Base)];
+        let axes = [Axis::parse("tlb.entries=32,64").unwrap()];
+        let (plan, _) = SweepPlan::expand_all(&bases, &axes).unwrap();
+        assert_eq!(plan.points.len(), 2);
+        assert_eq!(plan.skipped.len(), 2);
     }
 
     #[test]

@@ -112,8 +112,6 @@ pub struct FleetOptions {
     pub max_dispatch: u32,
     /// Per-point walk-cycle budget forwarded to backends.
     pub point_budget: Option<u64>,
-    /// Backend-side retries for transient point failures.
-    pub retries: u32,
     /// Cool-down before an evicted backend is re-probed for rejoin.
     /// `None` makes eviction permanent (the pre-elastic behavior).
     pub probation: Option<Duration>,
@@ -140,7 +138,6 @@ impl Default for FleetOptions {
             hedge_after: Some(Duration::from_millis(2_000)),
             max_dispatch: 3,
             point_budget: None,
-            retries: 0,
             probation: Some(Duration::from_millis(5_000)),
             probation_probes: 10,
             keepalive: Some(Duration::from_millis(1_000)),
@@ -1100,7 +1097,6 @@ fn run_point(
         ("sweep", Value::Arr(fplan.pinned_axes(ix).into_iter().map(Value::from).collect())),
         ("warmup", exec.warmup.into()),
         ("measure", exec.measure.into()),
-        ("retries", u64::from(opts.retries).into()),
         ("tag", format!("fleet-{ix}").into()),
     ];
     if let Some(budget) = opts.point_budget {

@@ -31,9 +31,9 @@ impl FleetPlan {
     }
 }
 
-/// Expands the grid over every base spec and merges with global
-/// reindexing — the same merge the single-node `repro explore` planner
-/// performs, so fleet point labels and indices match it exactly.
+/// Plans the grid over every base spec through
+/// [`SweepPlan::expand_all`], the planner `repro explore` uses, so fleet
+/// point labels and indices match a single-node run exactly.
 ///
 /// `specs` holds raw spec TOML texts (the coordinator keeps the text
 /// because that is what the wire protocol carries).
@@ -41,33 +41,16 @@ impl FleetPlan {
 /// # Errors
 ///
 /// Returns a message when a spec fails to parse, or when an axis key
-/// is rejected by every base (a key meaningless for one base but valid
-/// for another only skips that base, mirroring single-node planning).
+/// is rejected by every base.
 pub fn fleet_plan(specs: &[String], axes: &[Axis]) -> Result<FleetPlan, String> {
-    let mut merged = SweepPlan::default();
-    let mut spec_toml = Vec::new();
-    let mut last_err = None;
-    for text in specs {
-        let base = SystemSpec::parse(text).map_err(|e| e.to_string())?;
-        match SweepPlan::expand(&base, axes) {
-            Ok(mut plan) => {
-                let shared: Arc<str> = Arc::from(text.as_str());
-                for mut point in plan.points.drain(..) {
-                    point.index = merged.points.len();
-                    merged.points.push(point);
-                    spec_toml.push(Arc::clone(&shared));
-                }
-                merged.skipped.append(&mut plan.skipped);
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    if merged.points.is_empty() && merged.skipped.is_empty() {
-        if let Some(e) = last_err {
-            return Err(e);
-        }
-    }
-    Ok(FleetPlan { plan: merged, spec_toml })
+    let bases = specs
+        .iter()
+        .map(|text| SystemSpec::parse(text).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (plan, origin) = SweepPlan::expand_all(&bases, axes)?;
+    let texts: Vec<Arc<str>> = specs.iter().map(|text| Arc::from(text.as_str())).collect();
+    let spec_toml = origin.into_iter().map(|b| Arc::clone(&texts[b])).collect();
+    Ok(FleetPlan { plan, spec_toml })
 }
 
 #[cfg(test)]

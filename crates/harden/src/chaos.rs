@@ -2,12 +2,12 @@
 //!
 //! A resilience mechanism that has never seen a fault is a guess. The
 //! chaos harness injects nine fault classes into *chosen* sweep points
-//! so tests and CI can prove the isolation, retry, deadline, and journal
+//! so tests and CI can prove the isolation, deadline, and journal
 //! machinery actually work:
 //!
 //! * [`Fault::Panic`] — the point's trace source panics mid-stream.
-//! * [`Fault::Io`] — the point's first build attempts fail with a
-//!   transient I/O error (succeeds once retries kick in).
+//! * [`Fault::Io`] — the point fails with an I/O error before its
+//!   stream is taken.
 //! * [`Fault::Corrupt`] — a trace record is corrupted in flight (an
 //!   unaligned fetch address), for [`crate::CheckedTrace`] to catch.
 //! * [`Fault::Runaway`] — from the trigger record on, every data
@@ -18,8 +18,8 @@
 //!   requires `--isolation process` (a supervised worker dies in the
 //!   point's place).
 //! * [`Fault::Oom`] — from the trigger record on, the point leaks and
-//!   touches memory until something kills it (the supervisor's RSS
-//!   ceiling, ideally). Also process-killing; requires
+//!   touches memory until the kernel's OOM killer or its own 1 GiB cap
+//!   ends the process. Also process-killing; requires
 //!   `--isolation process`.
 //! * [`Fault::Stall`] — the stream freezes for a beat at the trigger
 //!   record, then continues unchanged. Results stay bit-identical;
@@ -39,9 +39,10 @@
 //! stage and restarts the daemon mid-upload to prove the server's
 //! checksums and resume contract.
 //!
-//! Everything is seeded [`SplitMix64`]: which record triggers, how many
-//! I/O attempts fail — the same plan replays identically, with no clock
-//! or OS randomness anywhere.
+//! Everything is seeded [`SplitMix64`]: which record an in-stream fault
+//! triggers at — the same plan replays identically, with no clock or OS
+//! randomness anywhere. A point the plan does not target never sees any
+//! of this: the executor wraps only targeted points.
 
 use std::collections::BTreeMap;
 
@@ -53,7 +54,7 @@ use vm_types::{MAddr, SplitMix64, PAGE_SIZE, USER_SPACE_BYTES};
 pub enum Fault {
     /// Panic inside the point's trace iteration.
     Panic,
-    /// Transient I/O failures while building the point's workload.
+    /// An I/O failure before the point's stream is taken.
     Io,
     /// A corrupt trace record (unaligned fetch) mid-stream.
     Corrupt,
@@ -62,9 +63,9 @@ pub enum Fault {
     /// `abort()` mid-stream — process-killing, not unwinding. Only
     /// survivable under `--isolation process`.
     Abort,
-    /// Leak-and-touch memory until killed (by the supervisor's RSS
-    /// ceiling). Process-killing; only survivable under
-    /// `--isolation process`.
+    /// Leak-and-touch memory until killed (by the OOM killer, or by
+    /// the fault's own 1 GiB cap). Process-killing; only survivable
+    /// under `--isolation process`.
     Oom,
     /// Freeze the stream briefly at the trigger record, then continue.
     /// Perturbs wall-clock only — results stay bit-identical.
@@ -126,8 +127,7 @@ impl Fault {
 /// Which fault (if any) hits which sweep-point index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
-    /// Seeds the per-point streams deciding trigger offsets and I/O
-    /// failure counts.
+    /// Seeds the per-point streams deciding trigger offsets.
     pub seed: u64,
     targets: BTreeMap<usize, Fault>,
 }
@@ -244,13 +244,6 @@ impl ChaosPlan {
         SplitMix64::new(self.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// How many build attempts fail for an [`Fault::Io`] point: 1 or 2,
-    /// deterministically — so `--retries 2` always recovers the point
-    /// and `--retries 0` always fails it.
-    pub fn io_failures(&self, index: usize) -> u32 {
-        1 + (self.stream(index).next_u64() % 2) as u32
-    }
-
     /// The record offset at which the point's in-stream fault triggers:
     /// deterministic, somewhere in `[horizon/8, horizon/2)` so it can
     /// land in warm-up or measurement.
@@ -261,8 +254,9 @@ impl ChaosPlan {
     }
 
     /// Wraps a point's trace in its injected fault, if the fault acts on
-    /// the stream ([`Fault::Io`] acts at build time, [`Fault::Lie`] on
-    /// the finished result payload; both leave the stream alone).
+    /// the stream ([`Fault::Io`] fails the point before its stream is
+    /// taken, [`Fault::Lie`] acts on the finished result payload; both
+    /// leave the stream alone).
     pub fn wrap<I>(&self, index: usize, horizon: u64, inner: I) -> ChaosTrace<I>
     where
         I: Iterator<Item = InstrRecord>,
@@ -280,15 +274,13 @@ impl ChaosPlan {
 /// enough not to slow a suite noticeably.
 const STALL_DURATION: std::time::Duration = std::time::Duration::from_millis(50);
 
-/// How much each [`Fault::Oom`] step leaks and touches (16 MiB): big
-/// enough to blow a supervisor RSS ceiling within a few records, small
-/// enough that the ceiling (not the host OOM killer) decides.
+/// How much each [`Fault::Oom`] step leaks and touches (16 MiB), so the
+/// cap below is reached within a few dozen records.
 const OOM_STEP_BYTES: usize = 16 << 20;
 
 /// The absolute self-destruct cap for [`Fault::Oom`] (1 GiB): if nothing
-/// has killed the process by then (no supervisor, generous ceiling), the
-/// fault finishes the job itself with `abort()` rather than endangering
-/// the host.
+/// has killed the process by then, the fault finishes the job itself
+/// with `abort()` rather than endangering the host.
 const OOM_CAP_BYTES: usize = 1 << 30;
 
 /// A trace iterator with one armed in-stream fault.
@@ -347,7 +339,7 @@ impl<I: Iterator<Item = InstrRecord>> Iterator for ChaosTrace<I> {
                         }
                         self.hog.push(vec![0xAA; OOM_STEP_BYTES]);
                     }
-                    Fault::Io => unreachable!("io faults act at build time"),
+                    Fault::Io => unreachable!("io faults act before the stream is taken"),
                     Fault::Lie => unreachable!("lie faults act on the result payload"),
                 }
             }
@@ -417,7 +409,6 @@ mod tests {
         let b = ChaosPlan::new(7);
         let c = ChaosPlan::new(8);
         assert_eq!(a.trigger_record(3, 12_000), b.trigger_record(3, 12_000));
-        assert_eq!(a.io_failures(5), b.io_failures(5));
         // Different seeds or indices shift the streams (overwhelmingly).
         assert!(
             a.trigger_record(3, 12_000) != c.trigger_record(3, 12_000)
@@ -425,7 +416,6 @@ mod tests {
         );
         let t = a.trigger_record(3, 12_000);
         assert!((1_500..6_000).contains(&t), "{t}");
-        assert!((1..=2).contains(&a.io_failures(9)));
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use journal::{
     fingerprint, DynJournalWriter, Journal, JournalEntry, JournalWriter, RunHeader, SharedBuf,
     SyncWrite, JOURNAL_VERSION,
 };
-pub use retry::{with_retry, with_retry_salted, Breaker, BreakerPolicy, RetryPolicy};
+pub use retry::{with_retry_salted, Breaker, BreakerPolicy, RetryPolicy};

@@ -1,11 +1,12 @@
 //! Retry policies with capped exponential backoff and deterministic
 //! jitter.
 //!
-//! Only [`FailureKind::is_transient`](crate::FailureKind::is_transient) errors (simulated or real I/O) are
-//! retried — a panic or a bad spec fails identically on every attempt,
-//! so retrying it would only waste sweep time. Backoff is wall-clock
-//! (it never feeds a result), so results stay bit-identical whatever the
-//! policy.
+//! Only [`FailureKind::is_transient`](crate::FailureKind::is_transient)
+//! errors (I/O) are retried — a panic or a bad spec fails identically on
+//! every attempt. The fleet retries its backend health probes this way,
+//! and the worker pool sleeps the same backoff between a crash and the
+//! restart. Backoff is wall-clock (it never feeds a result), so results
+//! stay bit-identical whatever the policy.
 //!
 //! An unjittered exponential is a thundering herd in disguise: parallel
 //! workers that trip over the same shared-resource failure all sleep the
@@ -26,7 +27,7 @@ use vm_types::SplitMix64;
 
 use crate::error::SimError;
 
-/// How often and how patiently to retry a transient point failure.
+/// How often and how patiently to retry a transient failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = fail fast).
@@ -144,19 +145,10 @@ impl Breaker {
     }
 }
 
-/// [`with_retry_salted`] with salt 0 — for callers with no natural
-/// identity to spread jitter over.
-pub fn with_retry<T>(
-    policy: &RetryPolicy,
-    attempt: impl FnMut(u32) -> Result<T, SimError>,
-) -> (Result<T, SimError>, u32) {
-    with_retry_salted(policy, 0, attempt)
-}
-
 /// Runs `attempt(n)` (n = 1-based attempt number) until it succeeds, a
 /// non-transient error occurs, or the policy's retries are exhausted.
 /// Between attempts it sleeps the policy's jittered backoff, salted by
-/// `salt` (typically the point index). Returns the final result with
+/// `salt` (the caller's identity, e.g. a backend id). Returns the final result with
 /// its `attempts` field set to the number of attempts actually consumed.
 pub fn with_retry_salted<T>(
     policy: &RetryPolicy,
@@ -234,7 +226,8 @@ mod tests {
     fn transient_errors_retry_until_success() {
         let policy =
             RetryPolicy { retries: 3, backoff_base_ms: 0, backoff_cap_ms: 0, jitter_seed: None };
-        let (out, attempts) = with_retry(&policy, |n| if n < 3 { Err(io_err()) } else { Ok(n) });
+        let (out, attempts) =
+            with_retry_salted(&policy, 0, |n| if n < 3 { Err(io_err()) } else { Ok(n) });
         assert_eq!(out.unwrap(), 3);
         assert_eq!(attempts, 3);
     }
@@ -243,7 +236,7 @@ mod tests {
     fn exhausted_retries_report_attempts() {
         let policy =
             RetryPolicy { retries: 2, backoff_base_ms: 0, backoff_cap_ms: 0, jitter_seed: None };
-        let (out, attempts) = with_retry::<u32>(&policy, |_| Err(io_err()));
+        let (out, attempts) = with_retry_salted::<u32>(&policy, 0, |_| Err(io_err()));
         let e = out.unwrap_err();
         assert_eq!(attempts, 3); // 1 try + 2 retries
         assert_eq!(e.attempts, 3);
@@ -253,7 +246,7 @@ mod tests {
     fn non_transient_errors_fail_fast() {
         let policy = RetryPolicy::new(5);
         let mut calls = 0;
-        let (out, attempts) = with_retry::<u32>(&policy, |_| {
+        let (out, attempts) = with_retry_salted::<u32>(&policy, 0, |_| {
             calls += 1;
             Err(SimError::new("p", FailureKind::Panic, "boom"))
         });
@@ -287,7 +280,7 @@ mod tests {
 
     #[test]
     fn zero_retry_policy_is_one_attempt() {
-        let (out, attempts) = with_retry::<u32>(&RetryPolicy::NONE, |_| Err(io_err()));
+        let (out, attempts) = with_retry_salted::<u32>(&RetryPolicy::NONE, 0, |_| Err(io_err()));
         assert!(out.is_err());
         assert_eq!(attempts, 1);
     }

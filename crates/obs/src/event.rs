@@ -163,22 +163,16 @@ pub enum Event {
         /// of a cycle per instruction (events carry integers only).
         vm_total_micro: u64,
     },
-    /// One sweep point failed (or timed out) after all its attempts and
-    /// was isolated to a failure outcome instead of killing the run.
+    /// One sweep point failed (or timed out) and was isolated to a
+    /// failure outcome instead of killing the run.
     PointFailed {
         /// The point's index in sweep order.
         index: u64,
-        /// Attempts consumed before giving up.
+        /// Attempts consumed: 1, or a crash-looping worker point's
+        /// restarts plus one.
         attempts: u32,
         /// Whether the failure was a budget timeout (vs an error/panic).
         timed_out: bool,
-    },
-    /// One sweep point failed transiently and is being retried.
-    PointRetried {
-        /// The point's index in sweep order.
-        index: u64,
-        /// The retry attempt number just started (2 = first retry).
-        attempt: u32,
     },
     /// A sweep resumed from a run journal instead of starting cold.
     RunResumed {
@@ -224,8 +218,8 @@ pub enum Event {
         /// The worker's OS process id.
         pid: u64,
     },
-    /// A supervised worker died or was killed (abort, signal, hung
-    /// heartbeat, RSS ceiling) while holding a request.
+    /// A supervised worker died or was killed (abort, signal, OOM kill,
+    /// missed heartbeat) while holding a request.
     WorkerCrashed {
         /// The pool slot whose worker died.
         worker: u64,
@@ -437,7 +431,6 @@ impl Event {
             Event::SweepStarted { .. } => "sweep_started",
             Event::SweepPointDone { .. } => "sweep_point_done",
             Event::PointFailed { .. } => "point_failed",
-            Event::PointRetried { .. } => "point_retried",
             Event::RunResumed { .. } => "run_resumed",
             Event::JobAdmitted { .. } => "job_admitted",
             Event::JobShed { .. } => "job_shed",
@@ -516,10 +509,6 @@ impl Event {
                 put("index", index.into());
                 put("attempts", attempts.into());
                 put("timed_out", Value::Bool(timed_out));
-            }
-            Event::PointRetried { index, attempt } => {
-                put("index", index.into());
-                put("attempt", attempt.into());
             }
             Event::RunResumed { completed, remaining } => {
                 put("completed", completed.into());
@@ -677,7 +666,6 @@ mod tests {
             Event::SweepStarted { points: 24, axes: 2, jobs: 4 },
             Event::SweepPointDone { index: 3, instrs: 500_000, vm_total_micro: 81_230 },
             Event::PointFailed { index: 5, attempts: 3, timed_out: false },
-            Event::PointRetried { index: 5, attempt: 2 },
             Event::RunResumed { completed: 19, remaining: 5 },
             Event::JobAdmitted { job: 7, queue_depth: 3, degraded: true },
             Event::JobShed { queue_depth: 8 },

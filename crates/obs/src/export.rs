@@ -121,7 +121,6 @@ impl<W: Write> ChromeTraceSink<W> {
             Event::SweepStarted { .. }
             | Event::SweepPointDone { .. }
             | Event::PointFailed { .. }
-            | Event::PointRetried { .. }
             | Event::RunResumed { .. }
             | Event::JobAdmitted { .. }
             | Event::JobShed { .. }

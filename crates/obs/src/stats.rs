@@ -402,7 +402,6 @@ impl Sink for StatsSink {
             Event::SweepStarted { .. }
             | Event::SweepPointDone { .. }
             | Event::PointFailed { .. }
-            | Event::PointRetried { .. }
             | Event::RunResumed { .. }
             | Event::JobAdmitted { .. }
             | Event::JobShed { .. }

@@ -66,8 +66,6 @@ pub struct JobSpec {
     pub degraded: bool,
     /// Walk-cycle budget per point.
     pub point_budget: Option<u64>,
-    /// Retries for transient point failures.
-    pub retries: u32,
 }
 
 impl JobSpec {
@@ -83,11 +81,12 @@ impl JobSpec {
             ("measure", self.measure.into()),
             ("degraded", Value::Bool(self.degraded)),
             ("point_budget", self.point_budget.map_or(Value::Null, Value::from)),
-            ("retries", self.retries.into()),
         ])
     }
 
-    /// Deserializes [`JobSpec::to_json`].
+    /// Deserializes [`JobSpec::to_json`]. Fields it does not read, such
+    /// as the `retries` that job files from older builds carry, are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -125,7 +124,6 @@ impl JobSpec {
             measure: int("measure")?,
             degraded,
             point_budget: v.get("point_budget").and_then(Value::as_u64),
-            retries: int("retries")? as u32,
         })
     }
 
@@ -200,7 +198,6 @@ mod tests {
             measure: 500_000,
             degraded: true,
             point_budget: Some(1_000_000),
-            retries: 2,
         }
     }
 

@@ -106,8 +106,6 @@ pub struct SubmitRequest {
     pub measure: Option<u64>,
     /// Walk-cycle budget per point (None = unlimited).
     pub point_budget: Option<u64>,
-    /// Retries for transient point failures.
-    pub retries: Option<u32>,
     /// Free-form client tag, echoed in status responses.
     pub tag: Option<String>,
 }
@@ -332,7 +330,6 @@ fn parse_submit(v: &Value) -> Result<SubmitRequest, ProtoError> {
         warmup: int("warmup")?,
         measure: int("measure")?,
         point_budget: int("point_budget")?,
-        retries: int("retries")?.map(|r| r.min(u32::MAX as u64) as u32),
         tag: v.get("tag").and_then(Value::as_str).map(str::to_owned),
     })
 }
@@ -386,7 +383,6 @@ mod tests {
         let Request::Submit(s) = parse_request(line).unwrap() else { panic!("not submit") };
         assert_eq!(s.scale, Scale::Default);
         assert_eq!((s.warmup, s.measure), (Some(1000), Some(2000)));
-        assert_eq!(s.retries, Some(2));
         assert_eq!(s.point_budget, Some(500));
     }
 

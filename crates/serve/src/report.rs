@@ -26,6 +26,8 @@ const KNOWN_SIM_EVENTS: &[&str] = &[
     "sweep_started",
     "sweep_point_done",
     "point_failed",
+    // No longer emitted (points run once), but streams written by
+    // older builds still carry it.
     "point_retried",
     "run_resumed",
 ];

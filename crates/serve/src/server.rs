@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -47,8 +47,7 @@ use vm_explore::{
     SweepPlan,
 };
 use vm_harden::{
-    classify_panic, quiet_panics, ChaosPlan, FailureKind, Journal, JournalWriter, RetryPolicy,
-    SimError, SyncWrite,
+    classify_panic, quiet_panics, ChaosPlan, FailureKind, Journal, JournalWriter, SimError,
 };
 use vm_obs::json::Value;
 use vm_obs::{Event, JsonlSink, LogHist, NopSink, Reporter, Sink};
@@ -630,15 +629,12 @@ impl vm_explore::SweepObserver for JobObserver {
         self.shared.hub.publish(Some(self.job), &frame);
     }
 
+    /// Counts the point toward `status`'s `done`: the executor calls
+    /// this once per point that ran, after its journal line is written.
     fn point_finished(&self, index: usize, ok: bool) {
-        let frame = watch::point_frame(
-            self.shared.now_ms(),
-            self.job,
-            index as u64,
-            ok,
-            self.done_points.load(Ordering::Relaxed),
-            self.points,
-        );
+        let done = self.done_points.fetch_add(1, Ordering::Relaxed) + 1;
+        let frame =
+            watch::point_frame(self.shared.now_ms(), self.job, index as u64, ok, done, self.points);
         self.shared.hub.publish(Some(self.job), &frame);
     }
 
@@ -653,7 +649,8 @@ impl vm_explore::SweepObserver for JobObserver {
 }
 
 /// The fallible body of a job: plan, seed from any existing journal,
-/// run the hardened sweep, finish the journal.
+/// run the hardened sweep, finish the journal. A daemon without a state
+/// directory keeps no journal.
 fn execute_job(
     shared: &Arc<Shared>,
     spec: &JobSpec,
@@ -662,29 +659,21 @@ fn execute_job(
 ) -> Result<JobOutcome, String> {
     let plan = spec.plan()?;
     let exec = spec.exec();
-    let (seeded, fresh, target): (_, _, Box<dyn SyncWrite + Send>) =
-        match shared.journal_file(spec.id) {
-            Some(path) => {
-                let (journal, file) = Journal::reopen(&path)?;
-                (seed_job(&journal, &plan, &exec)?, journal.header.is_none(), Box::new(file))
+    let (seeded, journal) = match shared.journal_file(spec.id) {
+        Some(path) => {
+            let (journal, file) = Journal::reopen(&path)?;
+            let seeded = seed_job(&journal, &plan, &exec)?;
+            let mut writer = JournalWriter::boxed(file);
+            if journal.header.is_none() {
+                writer.header(&run_header(&plan, &exec));
             }
-            None => (BTreeMap::new(), true, Box::new(NullSync)),
-        };
+            (seeded, Some(Mutex::new(writer)))
+        }
+        None => (BTreeMap::new(), None),
+    };
     done_points.store(seeded.len() as u64, Ordering::Relaxed);
 
-    let mut writer = JournalWriter::boxed(CountingWrite::new(target, done_points));
-    if fresh {
-        writer.header(&run_header(&plan, &exec));
-    }
-    let journal = Mutex::new(writer);
-
     let policy = HardenPolicy {
-        retry: RetryPolicy {
-            retries: spec.retries,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-            jitter_seed: None,
-        },
         point_budget: spec.point_budget,
         chaos: shared.config.chaos.clone(),
         cancel: Some(Arc::clone(cancel)),
@@ -713,11 +702,13 @@ fn execute_job(
         seeded,
         &Reporter::silent(),
         &mut NopSink,
-        Some(&journal),
+        journal.as_ref(),
     );
     // A broken journal must not fail the job (results are still valid);
     // it only costs resume coverage, and the writer already went inert.
-    let _ = journal.into_inner().unwrap_or_else(|e| e.into_inner()).finish();
+    if let Some(journal) = journal {
+        let _ = journal.into_inner().unwrap_or_else(|e| e.into_inner()).finish();
+    }
     let resumed = outcome.resumed;
     let (results, failures) = outcome.into_parts();
     Ok(JobOutcome { results, failures, resumed })
@@ -734,55 +725,6 @@ fn seed_job(
     match journal.header {
         Some(_) => seeded_from_journal(journal, plan, exec),
         None => Ok(BTreeMap::new()),
-    }
-}
-
-/// A sync-writer that discards everything (journaling without a state
-/// directory still drives live progress counting).
-#[derive(Debug, Default)]
-struct NullSync;
-
-impl Write for NullSync {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl SyncWrite for NullSync {}
-
-/// Counts journaled point lines as they stream past, so `status` can
-/// report live progress without touching the sweep executor.
-struct CountingWrite {
-    inner: Box<dyn SyncWrite + Send>,
-    done: Arc<AtomicU64>,
-}
-
-impl CountingWrite {
-    fn new(inner: Box<dyn SyncWrite + Send>, done: &Arc<AtomicU64>) -> CountingWrite {
-        CountingWrite { inner, done: Arc::clone(done) }
-    }
-}
-
-impl Write for CountingWrite {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // The journal writer appends exactly one line per call; count
-        // point entries (not the run header) toward progress.
-        if buf.starts_with(b"{\"j\":\"point\"") {
-            self.done.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl SyncWrite for CountingWrite {
-    fn sync(&mut self) -> io::Result<()> {
-        self.inner.sync()
     }
 }
 
@@ -826,7 +768,6 @@ fn resume_jobs(shared: &Arc<Shared>) -> io::Result<()> {
                     measure: 0,
                     degraded: false,
                     point_budget: None,
-                    retries: 0,
                 },
                 state: JobState::Failed,
                 cancel: Arc::new(AtomicBool::new(false)),
@@ -1132,7 +1073,6 @@ fn handle_submit(shared: &Arc<Shared>, req: SubmitRequest) -> Result<Value, Prot
         measure,
         degraded: false,
         point_budget: req.point_budget,
-        retries: req.retries.unwrap_or(0),
     };
     let total_points = probe.plan().map_err(|e| ProtoError::new(400, e))?.points.len();
 
@@ -1168,7 +1108,6 @@ fn handle_submit(shared: &Arc<Shared>, req: SubmitRequest) -> Result<Value, Prot
             measure: eff_m,
             degraded,
             point_budget: req.point_budget,
-            retries: req.retries.unwrap_or(0),
         };
         if let Some(path) = shared.job_file(id) {
             // Persist before acknowledging: an admitted job must survive

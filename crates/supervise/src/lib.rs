@@ -8,11 +8,10 @@
 //!
 //! * [`WorkerPool`] — the supervisor. Owns N sandboxed worker
 //!   *processes*, leases them to callers one request at a time, and
-//!   owns the whole failure policy: heartbeat liveness deadlines,
-//!   kill-and-restart with capped exponential jittered backoff
-//!   ([`vm_harden::RetryPolicy`]), a crash-loop circuit breaker
-//!   ([`vm_harden::Breaker`]), per-worker wall-clock and RSS ceilings
-//!   ([`Limits`]), and orphan reaping on drop.
+//!   owns the whole failure policy: heartbeat liveness deadlines
+//!   ([`Limits`]), kill-and-restart with capped exponential jittered
+//!   backoff ([`vm_harden::RetryPolicy`]), a crash-loop circuit breaker
+//!   ([`vm_harden::Breaker`]), and orphan reaping on drop.
 //! * [`worker_loop`] — the worker runtime. One request line in, one
 //!   reply line out, `{"j":"hb"}` heartbeats in between, clean exit at
 //!   stdin EOF (the supervisor's death closes the pipe, so workers
@@ -38,7 +37,7 @@ mod proc;
 pub mod worker;
 
 pub use pool::{Limits, PoolConfig, PoolError, PoolStats, WorkerPool};
-pub use proc::{describe_exit, rss_bytes_of, WorkerCommand};
+pub use proc::{describe_exit, WorkerCommand};
 pub use worker::{
     maybe_kill_for_test, worker_loop, DEFAULT_HEARTBEAT_INTERVAL, HEARTBEAT_LINE, HEARTBEAT_PREFIX,
 };

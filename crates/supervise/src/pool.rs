@@ -8,13 +8,11 @@
 //!
 //! * **Liveness**: a worker that stops producing output (heartbeats
 //!   included) past the heartbeat deadline is presumed wedged, killed,
-//!   and restarted.
-//! * **Resource ceilings**: a worker past its RSS ceiling is killed
-//!   before it endangers the host; a request past its wall-clock
-//!   ceiling is abandoned as a timeout (re-running deterministic work
-//!   would only time out again).
+//!   and restarted. A worker computing on a hung point still heartbeats
+//!   from its loop thread, so nothing here bounds a point's wall time;
+//!   the executor's walk-cycle budget bounds a runaway point instead.
 //! * **Kill-and-restart**: crashes (abort, SIGSEGV, SIGKILL, OOM kill,
-//!   hung heartbeat, RSS kill) respawn the worker with the capped
+//!   hung heartbeat) respawn the worker with the capped
 //!   exponential, jittered backoff of [`vm_harden::RetryPolicy`] and
 //!   re-send the request — a fresh process may well succeed where one
 //!   poisoned by an earlier point would not.
@@ -37,28 +35,21 @@ use vm_obs::Event;
 use crate::proc::{describe_exit, WorkerCommand, WorkerProcess};
 use crate::worker::HEARTBEAT_PREFIX;
 
-/// Supervisor poll granularity: how often liveness, wall, and RSS are
-/// re-checked while waiting for a reply.
+/// Supervisor poll granularity: how often the worker's exit and its
+/// heartbeat deadline are re-checked while waiting for a reply.
 const TICK: Duration = Duration::from_millis(25);
 
-/// Per-worker resource ceilings and the liveness deadline.
+/// The per-worker liveness deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// A worker producing no output (heartbeats included) for this long
     /// is presumed wedged and killed.
     pub heartbeat: Duration,
-    /// Wall-clock ceiling per request; exceeding it abandons the
-    /// request as a timeout (no restart — deterministic work would only
-    /// time out again).
-    pub wall: Option<Duration>,
-    /// Resident-set ceiling per worker; exceeding it kills the worker
-    /// (restartable — a fresh process starts small).
-    pub rss_bytes: Option<u64>,
 }
 
 impl Default for Limits {
     fn default() -> Limits {
-        Limits { heartbeat: Duration::from_secs(10), wall: None, rss_bytes: None }
+        Limits { heartbeat: Duration::from_secs(10) }
     }
 }
 
@@ -69,7 +60,7 @@ pub struct PoolConfig {
     pub command: WorkerCommand,
     /// Worker processes (= concurrent requests served).
     pub workers: usize,
-    /// Ceilings and the liveness deadline.
+    /// The liveness deadline.
     pub limits: Limits,
     /// Backoff between kill and restart (`retries` is ignored; the
     /// breaker owns give-up policy).
@@ -103,13 +94,6 @@ pub enum PoolError {
         /// The last crash's description (exit status + stderr tail).
         detail: String,
     },
-    /// The request exceeded the pool's per-request wall-clock ceiling.
-    WallLimit {
-        /// The configured ceiling.
-        limit: Duration,
-        /// What was known when the request was abandoned.
-        detail: String,
-    },
 }
 
 impl fmt::Display for PoolError {
@@ -117,9 +101,6 @@ impl fmt::Display for PoolError {
         match self {
             PoolError::CrashLoop { restarts, detail } => {
                 write!(f, "crash-loop breaker tripped after {restarts} restart(s): {detail}")
-            }
-            PoolError::WallLimit { limit, detail } => {
-                write!(f, "exceeded the {}ms wall-clock ceiling: {detail}", limit.as_millis())
             }
         }
     }
@@ -187,8 +168,7 @@ impl WorkerPool {
     ///
     /// # Errors
     ///
-    /// [`PoolError::CrashLoop`] when the breaker tripped,
-    /// [`PoolError::WallLimit`] when the request out-lived its ceiling.
+    /// [`PoolError::CrashLoop`] when the breaker tripped.
     pub fn execute(&self, tag: u64, request: &str) -> Result<String, PoolError> {
         let slot = self.lease();
         let result = self.run_on_slot(slot, tag, request);
@@ -291,7 +271,6 @@ impl WorkerPool {
                 }
             }
 
-            let started = Instant::now();
             let mut last_output = Instant::now();
             let crash_detail = loop {
                 let w = worker.as_mut().expect("worker held while waiting");
@@ -312,28 +291,6 @@ impl WorkerPool {
                             }
                             worker.take().expect("held above").reap();
                             break detail;
-                        }
-                        if let Some(wall) = limits.wall {
-                            if started.elapsed() > wall {
-                                worker.take().expect("held above").reap();
-                                return Err(PoolError::WallLimit {
-                                    limit: wall,
-                                    detail: format!(
-                                        "request {tag} still running after {}ms",
-                                        started.elapsed().as_millis()
-                                    ),
-                                });
-                            }
-                        }
-                        if let Some(cap) = limits.rss_bytes {
-                            if let Some(rss) = w.rss_bytes() {
-                                if rss > cap {
-                                    worker.take().expect("held above").reap();
-                                    break format!(
-                                        "resident set {rss} bytes exceeded the {cap}-byte ceiling"
-                                    );
-                                }
-                            }
                         }
                         if last_output.elapsed() > limits.heartbeat {
                             let tail = worker.as_ref().map(|w| w.stderr_tail()).unwrap_or_default();
@@ -485,9 +442,7 @@ mod tests {
         cfg.breaker.max_failures = 2;
         let pool = WorkerPool::new(cfg);
         let err = pool.execute(3, "req").unwrap_err();
-        let PoolError::CrashLoop { restarts, detail } = &err else {
-            panic!("expected CrashLoop, got {err:?}");
-        };
+        let PoolError::CrashLoop { restarts, detail } = &err;
         assert_eq!(*restarts, 2);
         assert!(detail.contains("exited with status 42"), "{detail}");
         let stats = pool.stats();
@@ -516,39 +471,8 @@ mod tests {
         cfg.breaker.max_failures = 1;
         let pool = WorkerPool::new(cfg);
         let err = pool.execute(0, "req").unwrap_err();
-        let PoolError::CrashLoop { detail, .. } = &err else {
-            panic!("expected CrashLoop, got {err:?}");
-        };
+        let PoolError::CrashLoop { detail, .. } = &err;
         assert!(detail.contains("no heartbeat"), "{detail}");
-    }
-
-    #[test]
-    fn the_wall_clock_ceiling_abandons_without_restarting() {
-        let mut cfg = sh_pool(
-            "while read l; do while true; do echo '{\"j\":\"hb\"}'; sleep 0.05; done; done",
-        );
-        cfg.limits.wall = Some(Duration::from_millis(200));
-        let pool = WorkerPool::new(cfg);
-        let err = pool.execute(9, "req").unwrap_err();
-        assert!(matches!(err, PoolError::WallLimit { .. }), "{err:?}");
-        assert_eq!(pool.stats().restarted, 0, "wall overruns must not restart");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn the_rss_ceiling_kills_a_hog() {
-        // `sh` itself is tiny; any live process busts a 1-byte ceiling.
-        let mut cfg = sh_pool(
-            "while read l; do while true; do echo '{\"j\":\"hb\"}'; sleep 0.05; done; done",
-        );
-        cfg.limits.rss_bytes = Some(1);
-        cfg.breaker.max_failures = 1;
-        let pool = WorkerPool::new(cfg);
-        let err = pool.execute(0, "req").unwrap_err();
-        let PoolError::CrashLoop { detail, .. } = &err else {
-            panic!("expected CrashLoop, got {err:?}");
-        };
-        assert!(detail.contains("resident set"), "{detail}");
     }
 
     #[test]

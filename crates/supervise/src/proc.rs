@@ -170,13 +170,6 @@ impl WorkerProcess {
         self.child.try_wait().ok().flatten()
     }
 
-    /// The worker's resident set size in bytes, from
-    /// `/proc/<pid>/status` (`None` off Linux or once the process is
-    /// gone).
-    pub fn rss_bytes(&self) -> Option<u64> {
-        rss_bytes_of(self.pid)
-    }
-
     /// The last few stderr lines, joined, for crash reports.
     pub fn stderr_tail(&self) -> String {
         let tail = self.stderr_tail.lock().unwrap_or_else(|e| e.into_inner());
@@ -207,26 +200,6 @@ impl WorkerProcess {
             std::thread::sleep(tick);
         }
         self.reap();
-    }
-}
-
-/// Resident set size of an arbitrary pid, in bytes (Linux only).
-pub fn rss_bytes_of(pid: u32) -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmRSS:") {
-                let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-                return Some(kb * 1024);
-            }
-        }
-        None
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = pid;
-        None
     }
 }
 
@@ -271,19 +244,6 @@ mod tests {
         };
         assert_eq!(describe_exit(status), "killed by signal 9 (SIGKILL)");
         w.reap();
-    }
-
-    #[test]
-    fn rss_is_reported_on_linux() {
-        let mut w = WorkerProcess::spawn(&sh("read l; echo done")).unwrap();
-        if cfg!(target_os = "linux") {
-            let rss = w.rss_bytes().expect("live process has an RSS");
-            assert!(rss > 0);
-        }
-        w.send("x").unwrap();
-        let _ = w.recv_timeout(Duration::from_secs(5));
-        w.reap_graceful(Duration::from_secs(2), Duration::from_millis(10));
-        assert!(rss_bytes_of(0).is_none() || cfg!(not(target_os = "linux")));
     }
 
     #[test]

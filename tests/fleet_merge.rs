@@ -100,7 +100,7 @@ fn fleet_plan_matches_the_single_node_planner() {
     let fplan = fleet_plan(&specs, &axes).unwrap();
     assert_eq!(fplan.plan.points.len(), 24);
     let bases: Vec<SystemSpec> = specs.iter().map(|s| SystemSpec::parse(s).unwrap()).collect();
-    let single = vm_experiments::explore::plan(&bases, &axes).unwrap();
+    let (single, _) = SweepPlan::expand_all(&bases, &axes).unwrap();
     let fleet_labels: Vec<&str> = fplan.plan.points.iter().map(|p| p.label.as_str()).collect();
     let single_labels: Vec<&str> = single.points.iter().map(|p| p.label.as_str()).collect();
     assert_eq!(fleet_labels, single_labels, "fleet planning must mirror repro explore exactly");

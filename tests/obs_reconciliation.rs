@@ -54,7 +54,6 @@ impl Sink for CountingSink {
             Event::SweepStarted { .. }
             | Event::SweepPointDone { .. }
             | Event::PointFailed { .. }
-            | Event::PointRetried { .. }
             | Event::RunResumed { .. }
             | Event::JobAdmitted { .. }
             | Event::JobShed { .. }

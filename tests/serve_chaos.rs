@@ -360,6 +360,43 @@ fn finished_jobs_past_the_retention_bound_expire_oldest_first() {
 }
 
 #[test]
+fn a_job_file_that_still_carries_retries_resumes_and_finishes() {
+    let dir = temp_dir("retries");
+    // A queued job's state file as builds with point retries wrote it.
+    let job = Value::obj([
+        ("v", 1u64.into()),
+        ("id", 1u64.into()),
+        ("tag", Value::Null),
+        ("spec", SPEC.into()),
+        ("sweep", Value::Arr(vec!["tlb.entries=16,32".into()])),
+        ("warmup", 2_000u64.into()),
+        ("measure", 10_000u64.into()),
+        ("degraded", Value::Bool(false)),
+        ("point_budget", Value::Null),
+        ("retries", 2u64.into()),
+    ]);
+    std::fs::write(dir.join("job-000001.json"), format!("{job}\n")).unwrap();
+    let config = ServeConfig {
+        workers: 1,
+        state_dir: Some(dir.clone()),
+        resume: true,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let serve = std::thread::spawn(move || server.serve());
+    let mut c = Client::connect(addr).unwrap();
+    wait_state(&mut c, 1, |s| s == "done" || s == "failed");
+    let result = c.request(&req("result", 1)).unwrap();
+    assert_eq!(result.get("state").and_then(Value::as_str), Some("done"), "{result}");
+    assert_eq!(result.get("results").and_then(Value::as_array).map(<[Value]>::len), Some(2));
+    assert_eq!(result.get("failures").and_then(Value::as_array).map(<[Value]>::len), Some(0));
+    c.request(&Value::obj([("req", "drain".into())])).unwrap();
+    serve.join().unwrap().expect("drain must exit cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_reloads_only_the_newest_finished_jobs() {
     let dir = temp_dir("retain");
     let lifetime = |resume: bool| {
